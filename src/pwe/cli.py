@@ -225,8 +225,6 @@ def cmd_validate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pwe", description=__doc__)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="parallelism cap (current implementation is serial)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("codes", help="list catalog codes or show one")

@@ -22,6 +22,7 @@ from .gf2 import (
     GF2Poly,
     invert_permutation,
     parity_check_from_generator,
+    permute_columns,
     permute_word,
     poly_divmod,
     poly_gcd,
@@ -92,10 +93,14 @@ class WeightDistribution:
 
 @functools.lru_cache(maxsize=None)
 def _systematic(code: CodeSpec):
-    """(G_sys, perm, inv_perm, H) for a code, computed once."""
+    """(G_sys, perm, inv_perm, H) for a code, computed once.
+
+    G_sys is in the permuted coordinates; H is in the original ones, so a
+    membership test needs no per-word permutation."""
     G_sys, perm = systematic_form(code.generator_matrix)
-    H = parity_check_from_generator(G_sys)
-    return G_sys, tuple(perm), tuple(invert_permutation(perm)), H
+    inv_perm = invert_permutation(perm)
+    H = permute_columns(parity_check_from_generator(G_sys), inv_perm)
+    return G_sys, tuple(perm), tuple(inv_perm), H
 
 
 def info_positions(code: CodeSpec) -> tuple[int, ...]:
@@ -124,9 +129,7 @@ def contains(code: CodeSpec, word: BitWord) -> bool:
     """Parity-check membership test."""
     if word.length != code.n:
         raise ValueError(f"word length {word.length} != n = {code.n}")
-    _, perm, _, H = _systematic(code)
-    pw = permute_word(word.value, perm)
-    return H.syndrome(pw) == 0
+    return _systematic(code)[3].syndrome(word.value) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitops import bits_to_int, int_to_bits
-from .codes import CodeSpec, contains, exhaustive_limit, iter_codewords
+from .codes import CodeSpec, exhaustive_limit, iter_codewords
 from .gf2 import BitWord
 
 __all__ = ["DecoderKind", "parse_decoder", "mld_decode", "osd_decode", "decode"]
@@ -196,8 +196,3 @@ def euclidean_score(code: CodeSpec, word: BitWord, r) -> float:
     r = _validate_soft(code, r)
     s = 1.0 - 2.0 * int_to_bits(word.value, code.n).astype(np.float64)
     return float(np.sum((r - s) ** 2))
-
-
-def assert_member(code: CodeSpec, word: BitWord):
-    if not contains(code, word):
-        raise AssertionError("decoder produced a non-codeword")

@@ -9,7 +9,7 @@ interval from the normal approximation of the repetition means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -173,27 +173,7 @@ def estimate_recovery(
     rates = [recovery_rate_once(L_w, sampler, M, child) for child in rng.spawn(q)]
     r_bar = sum(rates) / q
     sigma = math.sqrt(sum((r_bar - rj) ** 2 for rj in rates) / (q - 1))
-    half = sigma * beta / math.sqrt(q)
-    r_left = min(max(r_bar - half, 1e-12), 1.0)
-    r_right = min(max(r_bar + half, 1e-12), 1.0)
-    size = len(L_w)
-    lower = math.floor(size / r_right)
-    upper = math.ceil(size / r_left)
-    estimate = round(size / r_bar)
-    complete = sigma == 0.0 and r_bar == 1.0
-    return RecoveryEstimate(
-        w=L_w.w,
-        list_size=size,
-        r_bar=r_bar,
-        sigma=sigma,
-        q=q,
-        mu=mu,
-        beta=beta,
-        r_interval=(r_left, r_right),
-        count_interval=(lower, upper),
-        count_estimate=estimate,
-        complete=complete,
-    )
+    return replace(interval_from_stats(len(L_w), r_bar, sigma, q, mu, beta), w=L_w.w)
 
 
 def interval_from_stats(

@@ -32,12 +32,15 @@ def write_weight_class(path, lst: WeightClassList):
 
 
 def read_weight_class(path, code: CodeSpec) -> WeightClassList:
+    """Read one list file; every word is checked for weight and membership."""
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
         if not header.startswith("# "):
             raise ValueError(f"{path}: missing codeword-list header")
         fields = dict(kv.split("=", 1) for kv in header[2:].split())
+        if fields["code"] != code.name:
+            raise ValueError(f"{path}: list of code {fields['code']!r}, not {code.name!r}")
         n = int(fields["n"])
         w = int(fields["w"])
         if n != code.n:
@@ -48,6 +51,9 @@ def read_weight_class(path, code: CodeSpec) -> WeightClassList:
             if not line:
                 continue
             lst.add(BitWord.from_hex(n, line))
+    if len(lst) != int(fields["count"]):
+        raise ValueError(f"{path}: header says count={fields['count']} "
+                         f"but the file holds {len(lst)} distinct words")
     return lst
 
 

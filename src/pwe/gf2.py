@@ -78,10 +78,6 @@ class BitWord:
             raise ValueError("length mismatch in AND")
         return BitWord(self.length, self.value & other.value)
 
-    def lex_key(self) -> tuple[int, ...]:
-        """Sort key ordering words by their bit sequence (b_0, b_1, ...)."""
-        return tuple(self.bits())
-
     def to_hex(self) -> str:
         """Lowercase hex, ceil(length/4) digits, most significant digit first."""
         ndigits = max(1, (self.length + 3) // 4)
@@ -225,10 +221,6 @@ class GF2Matrix:
             packed.append(sum(b << i for i, b in enumerate(row)))
         return cls(tuple(packed), ncols)
 
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        return cls(tuple(1 << i for i in range(n)), n)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -237,12 +229,6 @@ class GF2Matrix:
         if not 0 <= j < self.ncols:
             raise IndexError("column index out of range")
         return (self.rows[i] >> j) & 1
-
-    def row_word(self, i: int) -> BitWord:
-        return BitWord(self.ncols, self.rows[i])
-
-    def to_bit_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
     def mul_vector(self, v: int) -> int:
         """v (row vector of nrows bits) times this matrix, over GF(2)."""

@@ -65,21 +65,25 @@ class HarvestConfig:
 
 @dataclass
 class WeightClassList:
-    """Deduplicated codewords of one fixed weight, validated on insertion."""
+    """Deduplicated codewords of one fixed weight.
+
+    Members given to the constructor are trusted: they must already be
+    weight-w codewords, as harvest() and merge_lists() guarantee.  Words
+    from anywhere else (files, user code) go through ``add``, which checks.
+    """
 
     code: CodeSpec
     w: int
     _members: set[int] = field(default_factory=set)
 
-    def add(self, word: BitWord, check: bool = True) -> bool:
-        """Insert a word; returns True if it was new."""
+    def add(self, word: BitWord) -> bool:
+        """Check and insert a word; returns True if it was new."""
         if word.value in self._members:
             return False
-        if check:
-            if word.weight() != self.w:
-                raise ValueError(f"word of weight {word.weight()} offered to L_{self.w}")
-            if not contains(self.code, word):
-                raise ValueError("non-codeword offered to a weight-class list")
+        if word.weight() != self.w:
+            raise ValueError(f"word of weight {word.weight()} offered to L_{self.w}")
+        if not contains(self.code, word):
+            raise ValueError("non-codeword offered to a weight-class list")
         self._members.add(word.value)
         return True
 
@@ -235,30 +239,28 @@ def harvest(code: CodeSpec, config: HarvestConfig) -> dict[int, WeightClassList]
             lo, hi = d_est, d_est + 5
         if not lo <= w <= hi:
             continue
+        # The one membership check of a find: automorphisms map codewords
+        # to codewords of the same weight, so its orbit needs none.
+        if not contains(code, c3):
+            raise ValueError(f"decoder {config.decoder} returned a non-codeword")
         raw.setdefault(w, set()).update(cyclic_orbit(code, c3))
 
     if config.weight_window is not None:
         lo, hi = config.weight_window
     else:
         lo, hi = (d_est, d_est + 5) if d_est is not None else (1, 0)
-    out: dict[int, WeightClassList] = {}
-    for w in sorted(raw):
-        if not lo <= w <= hi:
-            continue
-        lst = WeightClassList(code, w)
-        for v in raw[w]:
-            lst.add(BitWord(code.n, v))
-        out[w] = lst
-    return out
+    return {w: WeightClassList(code, w, raw[w]) for w in sorted(raw) if lo <= w <= hi}
 
 
 def merge_lists(
     target: dict[int, WeightClassList],
     extra: Iterable[WeightClassList],
 ) -> dict[int, WeightClassList]:
-    """Dedup-merge weight-class lists (used by resumable harvests)."""
+    """Union weight-class lists of one code into ``target`` (used by
+    resumable harvests)."""
     for lst in extra:
         dst = target.setdefault(lst.w, WeightClassList(lst.code, lst.w))
-        for word in lst.words():
-            dst.add(word)
+        if dst.code != lst.code:
+            raise ValueError(f"cannot merge a list of {lst.code.name} into one of {dst.code.name}")
+        dst._members |= lst._members
     return target

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import int_to_bits
-from .codes import CodeSpec, exhaustive_limit, info_positions, iter_codewords
+from .codes import CodeSpec, encode, exhaustive_limit, info_positions
 from .decoders import DecoderKind, _codebook, osd_decode
 from .gf2 import BitWord
 
@@ -64,10 +64,7 @@ def _encoder_arrays(code: CodeSpec):
     k, n = code.k, code.n
     G = np.zeros((k, n), dtype=np.uint8)
     for i in range(k):
-        unit = BitWord(k, 1 << i)
-        from .codes import encode  # local import avoids a cycle at module load
-
-        G[i] = int_to_bits(encode(code, unit).value, n)
+        G[i] = int_to_bits(encode(code, BitWord(k, 1 << i)).value, n)
     info_cols = np.array(info_positions(code), dtype=np.intp)
     return G, info_cols
 

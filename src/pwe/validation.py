@@ -108,9 +108,7 @@ def _coverage(code, w, truth, list_size, runs=200) -> float:
     full = codewords_of_weight(code, w)
     rng = np.random.default_rng([505, w, code.n])
     chosen = rng.choice(len(full), size=list_size, replace=False)
-    lst = WeightClassList(code, w)
-    for i in chosen:
-        lst.add(BitWord(code.n, full[int(i)]), check=False)
+    lst = WeightClassList(code, w, {full[int(i)] for i in chosen})
     sampler = ExactUniformSampler(code)
     hits = 0
     for run in range(runs):

@@ -39,6 +39,26 @@ def test_weight_class_length_mismatch(tmp_path):
         fileio.read_weight_class(path, get_code("hamming-7-4"))
 
 
+def test_weight_class_truncated_file(tmp_path):
+    code, lst = golay_list()
+    path = tmp_path / "x.txt"
+    fileio.write_weight_class(path, lst)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError):
+        fileio.read_weight_class(path, code)
+
+
+def test_weight_class_other_code_name(tmp_path):
+    import dataclasses
+
+    code, lst = golay_list()
+    path = tmp_path / "x.txt"
+    fileio.write_weight_class(path, lst)
+    with pytest.raises(ValueError):
+        fileio.read_weight_class(path, dataclasses.replace(code, name="golay-copy"))
+
+
 def test_lists_dir_roundtrip(tmp_path):
     code, lst = golay_list()
     fileio.write_lists_dir(tmp_path / "lists", {8: lst})

@@ -131,3 +131,31 @@ def test_merge_lists_deduplicates():
     merged = merge_lists({}, list(a.values()) + list(b.values()))
     for w, lst in a.items():
         assert merged[w].values() == lst.values()
+
+
+def test_harvest_checks_each_find_once_not_each_image(monkeypatch):
+    calls = []
+
+    def counting(code, word):
+        calls.append(word)
+        return contains(code, word)
+
+    monkeypatch.setattr("pwe.harvest.contains", counting)
+    trials = 200
+    lists = harvest(get_code("qr-23-12"), mld_cfg(trials, 57))
+    assert len(calls) <= trials
+    assert sum(len(lst) for lst in lists.values()) > trials
+
+
+def test_merge_lists_rejects_another_code():
+    golay, qr23 = get_code("golay-24-12"), get_code("qr-23-12")
+    target = {8: WeightClassList(golay, 8, set(codewords_of_weight(golay, 8)[:3]))}
+    other = WeightClassList(qr23, 8, set(codewords_of_weight(qr23, 8)[:3]))
+    with pytest.raises(ValueError):
+        merge_lists(target, [other])
+
+
+def test_harvest_rejects_a_non_codeword_find(monkeypatch):
+    monkeypatch.setattr("pwe.harvest.decode", lambda kind, code, r: BitWord(code.n, 1))
+    with pytest.raises(ValueError):
+        harvest(get_code("qr-23-12"), mld_cfg(1, 58, transmit_mode="all_zero"))
