@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .bounds import RateContext, bound_curve
+from .bounds import BoundCurve, RateContext, bound_curve
 from .codes import (
     CodeSpec,
     catalog,
@@ -80,8 +80,7 @@ def cmd_codes(args) -> int:
     if c.generator_poly is not None:
         print(f"generator_poly_exponents: {','.join(map(str, c.generator_poly.exponents()))}")
     if c.parent is not None:
-        parent, removed = c.parent
-        print(f"parent: {parent.name} (removed {len(removed)} coordinates)")
+        print(f"parent: {c.parent.name} (removed {c.parent.n - c.n} coordinates)")
     return 0
 
 
@@ -203,7 +202,6 @@ def cmd_simulate(args) -> int:
     man = fileio.ManifestRecorder("simulate", {**vars(args), "seed": seed},
                                   seed=seed, code_name=code.name)
     points = simulate_curve(code, decoder, grid, config)
-    from .bounds import BoundCurve
 
     curve = BoundCurve("simulated_ber", tuple((p.ebn0_db, p.ber) for p in points))
     fileio.write_curve(man.record(args.out), curve, with_kind=True)

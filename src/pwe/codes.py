@@ -11,25 +11,13 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .gf2 import (
-    BitWord,
-    GF2Matrix,
-    GF2Poly,
-    invert_permutation,
-    parity_check_from_generator,
-    permute_columns,
-    permute_word,
-    poly_divmod,
-    poly_gcd,
-    poly_mod,
-    systematic_form,
-    x_n_plus_1,
-)
+from .bitops import int_to_bits
+from .gf2 import BitWord, GF2Matrix, GF2Poly, poly_gcd, poly_mod, rref, x_n_plus_1
 
 DEFAULT_EXHAUSTIVE_LIMIT = 26
 EXHAUSTIVE_LIMIT_ENV = "PWE_EXHAUSTIVE_LIMIT"
@@ -54,9 +42,9 @@ class CodeSpec:
     d_known: Optional[int] = None
     generator_poly: Optional[GF2Poly] = None
     is_cyclic: bool = False
-    # (parent code, coordinates of the parent that were removed), for
-    # shortened codes.
-    parent: Optional[tuple["CodeSpec", tuple[int, ...]]] = field(default=None)
+    # The cyclic code a shortened code was cut from; shortening removes the
+    # parent's top parent.n - n coordinates.
+    parent: Optional["CodeSpec"] = None
 
     def __post_init__(self):
         if self.generator_matrix.nrows != self.k or self.generator_matrix.ncols != self.n:
@@ -65,6 +53,12 @@ class CodeSpec:
     @property
     def rate(self) -> float:
         return self.k / self.n
+
+    @functools.cached_property
+    def systematic(self) -> "SystematicForm":
+        """The systematic form, derived on first use and kept on the code
+        (outside its fields, so it takes no part in == or hashing)."""
+        return _systematic_form(self.generator_matrix)
 
 
 @dataclass(frozen=True)
@@ -88,48 +82,68 @@ class WeightDistribution:
 
 
 # ---------------------------------------------------------------------------
-# Systematic-form machinery, cached per code.
+# Systematic form, in original coordinates
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _systematic(code: CodeSpec):
-    """(G_sys, perm, inv_perm, H) for a code, computed once.
+class SystematicForm(NamedTuple):
+    """A code's reduced generator R = rref(G) and what follows from it.
 
-    G_sys is in the permuted coordinates; H is in the original ones, so a
-    membership test needs no per-word permutation."""
-    G_sys, perm = systematic_form(code.generator_matrix)
-    inv_perm = invert_permutation(perm)
-    H = permute_columns(parity_check_from_generator(G_sys), inv_perm)
-    return G_sys, tuple(perm), tuple(inv_perm), H
+    R carries the identity on its pivot columns, which are the information
+    positions, so it encodes systematically without moving any coordinate.
+    """
+
+    generator: GF2Matrix  # R; row i has its pivot at info_positions[i]
+    info_positions: tuple[int, ...]
+    parity_check: GF2Matrix  # H with R·Hᵀ = 0, one row per non-pivot column
+    generator_bits: np.ndarray  # R as a k x n uint8 array
+
+
+def _systematic_form(G: GF2Matrix) -> SystematicForm:
+    R, rank, pivots = rref(G)
+    if rank != G.nrows:
+        raise ValueError(f"generator matrix is rank-deficient: rank {rank} < {G.nrows} rows")
+    # Column c outside the pivots yields the check "bit c equals the sum of
+    # the information bits whose row of R has bit c set".
+    pivot_set = set(pivots)
+    h_rows = []
+    for c in range(G.ncols):
+        if c in pivot_set:
+            continue
+        row = 1 << c
+        for p, r in zip(pivots, R.rows):
+            row |= ((r >> c) & 1) << p
+        h_rows.append(row)
+    bits = np.array([int_to_bits(r, G.ncols) for r in R.rows], dtype=np.uint8)
+    bits.flags.writeable = False
+    return SystematicForm(R, tuple(pivots), GF2Matrix(tuple(h_rows), G.ncols), bits)
 
 
 def info_positions(code: CodeSpec) -> tuple[int, ...]:
-    """Original-coordinate positions carrying the k information bits."""
-    _, perm, _, _ = _systematic(code)
-    return perm[: code.k]
+    """Positions carrying the k information bits."""
+    return code.systematic.info_positions
 
 
 def encode(code: CodeSpec, info: BitWord) -> BitWord:
     """Systematic encoding of a k-bit information word."""
     if info.length != code.k:
         raise ValueError(f"information word length {info.length} != k = {code.k}")
-    G_sys, _, inv_perm, _ = _systematic(code)
-    cw_perm = G_sys.mul_vector(info.value)
-    return BitWord(code.n, permute_word(cw_perm, inv_perm))
+    return BitWord(code.n, code.systematic.generator.mul_vector(info.value))
 
 
 def extract_info(code: CodeSpec, word: BitWord) -> BitWord:
     """Information bits of a codeword (the systematic positions)."""
-    _, perm, _, _ = _systematic(code)
-    pw = permute_word(word.value, perm)
-    return BitWord(code.k, pw & ((1 << code.k) - 1))
+    value = word.value
+    info = 0
+    for i, p in enumerate(code.systematic.info_positions):
+        info |= ((value >> p) & 1) << i
+    return BitWord(code.k, info)
 
 
 def contains(code: CodeSpec, word: BitWord) -> bool:
     """Parity-check membership test."""
     if word.length != code.n:
         raise ValueError(f"word length {word.length} != n = {code.n}")
-    return _systematic(code)[3].syndrome(word.value) == 0
+    return code.systematic.parity_check.syndrome(word.value) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +189,6 @@ def shorten(
     n = parent.n - s
     k = parent.k - s
     rows = tuple(g.value << i for i in range(k))
-    removed = tuple(range(parent.n - s, parent.n))
     return CodeSpec(
         name=name or f"{parent.name}-shortened-{s}",
         n=n,
@@ -184,7 +197,7 @@ def shorten(
         d_known=d_known if d_known is not None else parent.d_known,
         generator_poly=g,
         is_cyclic=False,
-        parent=(parent, removed),
+        parent=parent,
     )
 
 

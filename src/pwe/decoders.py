@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitops import bits_to_int, int_to_bits
-from .codes import CodeSpec, exhaustive_limit, iter_codewords
+from .codes import CodeSpec, iter_codewords
 from .gf2 import BitWord
 
 __all__ = ["DecoderKind", "parse_decoder", "mld_decode", "osd_decode", "decode"]
@@ -57,9 +57,16 @@ def _validate_soft(code: CodeSpec, r) -> np.ndarray:
     return r
 
 
+# Largest k whose whole codebook MLD may hold: the 2^k x n bit array, and
+# the float64 scores of a 512-block simulation batch (268 MB at k = 16).
+MLD_MAX_K = 16
+
+
 @functools.lru_cache(maxsize=8)
 def _codebook(code: CodeSpec) -> tuple[np.ndarray, list[int]]:
     """(bits array 2^k x n, codeword integers) in Gray enumeration order."""
+    if code.k > MLD_MAX_K:
+        raise ValueError(f"MLD needs k <= {MLD_MAX_K}, got k = {code.k}")
     words = list(iter_codewords(code))
     bits = np.zeros((len(words), code.n), dtype=np.uint8)
     for i, w in enumerate(words):
@@ -80,8 +87,6 @@ def mld_decode(code: CodeSpec, r) -> BitWord:
 
     Ties are broken toward the lexicographically smallest bit sequence.
     """
-    if code.k > exhaustive_limit():
-        raise ValueError(f"MLD needs k <= {exhaustive_limit()}, got k = {code.k}")
     r = _validate_soft(code, r)
     bits, words = _codebook(code)
     scores = bits @ r  # minimize: equals (dist² - const)/4
@@ -97,14 +102,6 @@ def mld_decode(code: CodeSpec, r) -> BitWord:
 def _pattern_indices(k: int, t: int) -> np.ndarray:
     """All weight-t flip patterns on k positions, lexicographic, as index rows."""
     return np.array(list(combinations(range(k), t)), dtype=np.intp).reshape(-1, t)
-
-
-@functools.lru_cache(maxsize=8)
-def _generator_bits(code: CodeSpec) -> np.ndarray:
-    G = np.zeros((code.k, code.n), dtype=np.uint8)
-    for i, row in enumerate(code.generator_matrix.rows):
-        G[i] = int_to_bits(row, code.n)
-    return G
 
 
 def osd_decode(code: CodeSpec, r, order: int) -> BitWord:
@@ -123,7 +120,10 @@ def osd_decode(code: CodeSpec, r, order: int) -> BitWord:
 
     rank_order = np.lexsort((np.arange(n), -np.abs(r)))
     r_perm = r[rank_order]
-    R = _generator_bits(code)[:, rank_order].copy()
+    # Any generator of the code reduces to the same matrix over the MRB, so
+    # start from the systematic one.  The copy is row-major: the column
+    # gather alone returns a column-major array, slow to XOR row by row.
+    R = code.systematic.generator_bits[:, rank_order].copy()
 
     # Eliminate in reliability order; pivot columns form the MRB.
     mrb: list[int] = []

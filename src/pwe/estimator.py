@@ -124,10 +124,8 @@ class ImpulseSampler:
             c3 = impulse_trial(self.code, self.config, rng)
             if c3 is None or c3.weight() != w:
                 continue
-            if self.code.is_cyclic or self.code.parent is not None:
-                orbit = sorted(cyclic_orbit(self.code, c3))
-                return orbit[int(rng.integers(len(orbit)))]
-            return c3.value
+            orbit = sorted(cyclic_orbit(self.code, c3))
+            return orbit[int(rng.integers(len(orbit)))]
         raise SamplerError(
             f"impulse sampler found no weight-{w} codeword in {self.budget} trials"
         )

@@ -19,8 +19,6 @@ __all__ = [
     "poly_divmod",
     "poly_gcd",
     "rref",
-    "systematic_form",
-    "parity_check_from_generator",
 ]
 
 
@@ -108,10 +106,6 @@ class GF2Poly:
     @classmethod
     def one(cls) -> "GF2Poly":
         return cls(1)
-
-    @classmethod
-    def x_pow(cls, n: int) -> "GF2Poly":
-        return cls(1 << n)
 
     @classmethod
     def from_exponents(cls, exponents: Iterable[int]) -> "GF2Poly":
@@ -211,24 +205,9 @@ class GF2Matrix:
     def from_rows(cls, rows: Sequence[int], ncols: int) -> "GF2Matrix":
         return cls(tuple(rows), ncols)
 
-    @classmethod
-    def from_bit_lists(cls, rows: Sequence[Sequence[int]]) -> "GF2Matrix":
-        ncols = len(rows[0]) if rows else 0
-        packed = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            packed.append(sum(b << i for i, b in enumerate(row)))
-        return cls(tuple(packed), ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= j < self.ncols:
-            raise IndexError("column index out of range")
-        return (self.rows[i] >> j) & 1
 
     def mul_vector(self, v: int) -> int:
         """v (row vector of nrows bits) times this matrix, over GF(2)."""
@@ -279,58 +258,3 @@ def rref(M: GF2Matrix) -> tuple[GF2Matrix, int, list[int]]:
         pivot_cols.append(col)
         pr += 1
     return GF2Matrix(tuple(rows), M.ncols), len(pivot_cols), pivot_cols
-
-
-def permute_columns(M: GF2Matrix, perm: Sequence[int]) -> GF2Matrix:
-    """Column j of the result is column perm[j] of M."""
-    rows = tuple(permute_word(r, perm) for r in M.rows)
-    return GF2Matrix(rows, M.ncols)
-
-
-def permute_word(value: int, perm: Sequence[int]) -> int:
-    """Bit j of the result is bit perm[j] of value."""
-    out = 0
-    for j, p in enumerate(perm):
-        out |= ((value >> p) & 1) << j
-    return out
-
-
-def invert_permutation(perm: Sequence[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for j, p in enumerate(perm):
-        inv[p] = j
-    return inv
-
-
-def systematic_form(G: GF2Matrix) -> tuple[GF2Matrix, list[int]]:
-    """Bring a full-rank generator matrix to [I_k | P] form.
-
-    Returns (G_sys, column_permutation) where column j of the permuted code
-    is column column_permutation[j] of the original; pivot columns are moved
-    to the front in order.  Raises ValueError on rank-deficient input.
-    """
-    R, rank, pivots = rref(G)
-    if rank != G.nrows:
-        raise ValueError(f"generator matrix is rank-deficient: rank {rank} < {G.nrows} rows")
-    nonpivots = [j for j in range(G.ncols) if j not in set(pivots)]
-    perm = list(pivots) + nonpivots
-    return permute_columns(R, perm), perm
-
-
-def parity_check_from_generator(G_sys: GF2Matrix) -> GF2Matrix:
-    """H = [Pᵀ | I_{n-k}] for G_sys = [I_k | P]; G_sys · Hᵀ = 0."""
-    k = G_sys.nrows
-    n = G_sys.ncols
-    for i in range(k):
-        if (G_sys.rows[i] & ((1 << k) - 1)) != (1 << i):
-            raise ValueError("generator matrix is not in [I | P] systematic form")
-    m = n - k
-    h_rows = []
-    for j in range(m):
-        # Column k+j of G_sys becomes the first k bits of H row j.
-        row = 0
-        for i in range(k):
-            row |= ((G_sys.rows[i] >> (k + j)) & 1) << i
-        row |= 1 << (k + j)
-        h_rows.append(row)
-    return GF2Matrix(tuple(h_rows), n)

@@ -154,60 +154,22 @@ def impulse_trial(
     return c1 ^ c2
 
 
-def _rotate(value: int, n: int, shift: int) -> int:
-    mask = (1 << n) - 1
-    shift %= n
-    return ((value << shift) | (value >> (n - shift))) & mask
-
-
-def _lift(value: int, parent_n: int, removed: tuple[int, ...]) -> int:
-    """Insert zero bits at the removed parent coordinates."""
-    removed_set = set(removed)
-    out = 0
-    src = 0
-    for pos in range(parent_n):
-        if pos in removed_set:
-            continue
-        out |= ((value >> src) & 1) << pos
-        src += 1
-    return out
-
-
-def _project(value: int, parent_n: int, removed: tuple[int, ...]) -> int:
-    removed_set = set(removed)
-    out = 0
-    dst = 0
-    for pos in range(parent_n):
-        if pos in removed_set:
-            continue
-        out |= ((value >> pos) & 1) << dst
-        dst += 1
-    return out
-
-
 def cyclic_orbit(code: CodeSpec, word: BitWord) -> set[int]:
     """Automorphism orbit of a word under the available cyclic structure.
 
-    Cyclic codes: all n rotations.  Shortened codes with a cyclic parent:
-    lift, rotate in the parent, keep rotations vanishing on the removed
-    coordinates, project back.  Anything else: the word alone.
+    A cyclic code rotates its words in length n.  A shortened code rotates
+    them in its parent's length and keeps the rotations below 2^n: its
+    words are the parent's words that vanish on the removed top coordinates.
+    Any other code: the word alone.
     """
-    if code.is_cyclic:
-        return {_rotate(word.value, code.n, s) for s in range(code.n)}
-    if code.parent is not None:
-        parent, removed = code.parent
-        if parent.is_cyclic:
-            removed_mask = 0
-            for pos in removed:
-                removed_mask |= 1 << pos
-            lifted = _lift(word.value, parent.n, removed)
-            keep = set()
-            for s in range(parent.n):
-                rot = _rotate(lifted, parent.n, s)
-                if rot & removed_mask == 0:
-                    keep.add(_project(rot, parent.n, removed))
-            return keep
-    return {word.value}
+    if not code.is_cyclic and code.parent is None:
+        return {word.value}
+    length = code.n if code.parent is None else code.parent.n
+    mask = (1 << length) - 1
+    limit = 1 << code.n
+    # Bits s .. s + length - 1 of the doubled word are its rotation by -s.
+    doubled = word.value | (word.value << length)
+    return {rot for s in range(length) if (rot := (doubled >> s) & mask) < limit}
 
 
 def expand_by_automorphisms(code: CodeSpec, word: BitWord) -> set[BitWord]:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import int_to_bits
-from .codes import CodeSpec, encode, exhaustive_limit, info_positions
+from .codes import CodeSpec
 from .decoders import DecoderKind, _codebook, osd_decode
-from .gf2 import BitWord
 
 __all__ = ["SimConfig", "SimPoint", "noise_sigma", "simulate_point", "simulate_curve"]
 
@@ -58,17 +57,6 @@ def noise_sigma(ebn0_db: float, rate: float) -> float:
     return math.sqrt(1.0 / (2.0 * rate * ebn0))
 
 
-def _encoder_arrays(code: CodeSpec):
-    """(k x n) systematic encoding matrix in original coordinates, plus the
-    column indices of the information positions."""
-    k, n = code.k, code.n
-    G = np.zeros((k, n), dtype=np.uint8)
-    for i in range(k):
-        G[i] = int_to_bits(encode(code, BitWord(k, 1 << i)).value, n)
-    info_cols = np.array(info_positions(code), dtype=np.intp)
-    return G, info_cols
-
-
 def simulate_point(
     code: CodeSpec,
     decoder: DecoderKind,
@@ -79,13 +67,12 @@ def simulate_point(
     """Simulate one Eb/N0 point; bit errors are counted on the information
     positions of the systematic encoding."""
     sigma = noise_sigma(ebn0_db, code.rate)
-    G, info_cols = _encoder_arrays(code)
+    G = code.systematic.generator_bits
+    info_cols = np.array(code.systematic.info_positions, dtype=np.intp)
     k, n = code.k, code.n
 
     use_mld = decoder.variant == "mld"
     if use_mld:
-        if code.k > exhaustive_limit():
-            raise ValueError("MLD simulation needs small k")
         cb_bits, cb_words = _codebook(code)
         cb = cb_bits.astype(np.float64)
 

@@ -111,19 +111,16 @@ def test_cyclic_closure_under_rotation():
 
 
 def test_shortened_words_lift_into_parent():
+    # Shortening removes the parent's top coordinates, so a shortened word
+    # lifts into its parent with its integer unchanged.
     code = get_code("bch-130-66")
-    parent, removed = code.parent
-    assert parent.n - len(removed) == code.n
+    parent = code.parent
+    assert (parent.n - code.n, parent.k - code.k) == (125, 125)
     rng = np.random.default_rng(23)
-    removed_set = set(removed)
-    kept = [p for p in range(parent.n) if p not in removed_set]
     for _ in range(200):
         bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
         word = encode(code, BitWord.from_bits(bits.tolist()))
-        lifted = 0
-        for src, dst in enumerate(kept):
-            lifted |= word.bit(src) << dst
-        assert contains(parent, BitWord(parent.n, lifted))
+        assert contains(parent, BitWord(parent.n, word.value))
 
 
 def test_shorten_dimensions():
@@ -162,14 +159,19 @@ def test_bch_63_39_generator_constant():
 
 
 def test_info_positions_are_systematic():
-    code = get_code("golay-24-12")
-    pos = info_positions(code)
-    assert len(pos) == code.k
     rng = np.random.default_rng(24)
-    for _ in range(20):
-        info = BitWord(code.k, int(rng.integers(0, 2**code.k)))
-        word = encode(code, info)
-        assert [word.bit(p) for p in pos] == info.bits()
+    for name, code in catalog().items():
+        pos = info_positions(code)
+        assert len(pos) == len(set(pos)) == code.k, name
+        # The identity on the information set, then random combinations.
+        for i in range(code.k):
+            unit = encode(code, BitWord(code.k, 1 << i))
+            assert [unit.bit(p) for p in pos] == BitWord(code.k, 1 << i).bits(), name
+        for _ in range(20):
+            bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+            info = BitWord.from_bits(bits.tolist())
+            word = encode(code, info)
+            assert [word.bit(p) for p in pos] == info.bits(), name
 
 
 def test_exhaustive_limit_env_override(monkeypatch):

@@ -1,5 +1,7 @@
 """MLD and ordered-statistics decoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pwe.decoders import (
     parse_decoder,
 )
 from pwe.gf2 import BitWord
+from pwe.sim import SimConfig, noise_sigma, simulate_point
 
 
 def brute_force_mld(code, r):
@@ -109,3 +112,49 @@ def test_soft_input_validation():
         mld_decode(code, np.zeros(6))
     with pytest.raises(ValueError):
         osd_decode(code, np.array([1.0, np.nan, 0, 0, 0, 0, 0]), 1)
+
+
+def test_mld_refuses_large_k_before_enumerating(monkeypatch):
+    def no_enumeration(code):
+        raise AssertionError("the codebook was enumerated")
+
+    monkeypatch.setattr("pwe.decoders.iter_codewords", no_enumeration)
+    code = get_code("qr-47-24")  # k = 24: a 0.8 GB codebook
+    with pytest.raises(ValueError):
+        mld_decode(code, np.ones(code.n))
+    with pytest.raises(ValueError):
+        simulate_point(code, DecoderKind("mld"), 3.0, SimConfig(), np.random.default_rng(0))
+
+
+# Harvest-like OSD inputs: (code, orders, vectors per order).
+OSD_CORPUS = (
+    ("bch-127-50", (0, 1, 2, 3), 40),
+    ("bch-130-66", (3,), 20),
+    ("golay-24-12", (0, 1, 2), 200),
+)
+# SHA-256 of every decoded word of OSD_CORPUS, frozen from a reference run.
+OSD_CORPUS_SHA256 = "92224549cb61ac96f4544a3e2e00014f21d0a1bcc2418a1880e2b192a1aaf8a0"
+
+
+def osd_corpus_digest() -> str:
+    """Decode random BPSK codewords plus AWGN at 4 dB plus one impulse of
+    amplitude d - 1, as a noisy-impulse harvest does, and hash the results."""
+    h = hashlib.sha256()
+    for name, orders, count in OSD_CORPUS:
+        code = get_code(name)
+        sigma = noise_sigma(4.0, code.rate)
+        for order in orders:
+            rng = np.random.default_rng([37, code.n, order])
+            for _ in range(count):
+                bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+                word = encode(code, BitWord.from_bits(bits.tolist()))
+                tx = bpsk(int_to_bits(word.value, code.n))
+                r = tx + sigma * rng.normal(size=code.n)
+                pos = int(rng.integers(code.n))
+                r[pos] -= (code.d_known - 1) * np.sign(tx[pos])
+                h.update(f"{name}:{order}:{osd_decode(code, r, order).to_hex()};".encode())
+    return h.hexdigest()
+
+
+def test_osd_outputs_are_frozen():
+    assert osd_corpus_digest() == OSD_CORPUS_SHA256

@@ -7,16 +7,11 @@ from pwe.gf2 import (
     BitWord,
     GF2Matrix,
     GF2Poly,
-    invert_permutation,
-    parity_check_from_generator,
-    permute_columns,
-    permute_word,
     poly_divmod,
     poly_gcd,
     poly_mod,
     poly_mul,
     rref,
-    systematic_form,
     x_n_plus_1,
 )
 
@@ -128,39 +123,3 @@ def test_rref_idempotence_and_rank():
         assert R2 == R and rank2 == rank and pivots2 == pivots
         assert rank <= min(6, 10)
         assert len(pivots) == rank
-
-
-def test_permutation_roundtrip():
-    rng = np.random.default_rng(16)
-    perm = list(rng.permutation(12))
-    inv = invert_permutation(perm)
-    value = int(rng.integers(0, 1 << 12))
-    assert permute_word(permute_word(value, perm), inv) == value
-    M = GF2Matrix.from_rows([int(rng.integers(0, 1 << 12)) for _ in range(4)], 12)
-    assert permute_columns(permute_columns(M, perm), inv) == M
-
-
-def test_systematic_form_and_parity_check():
-    rng = np.random.default_rng(17)
-    M = GF2Matrix.from_bit_lists([
-        [1, 0, 1, 1, 0, 0, 0],
-        [0, 1, 0, 1, 1, 0, 0],
-        [0, 0, 1, 0, 1, 1, 0],
-        [0, 0, 0, 1, 0, 1, 1],
-    ])
-    G_sys, perm = systematic_form(M)
-    # Identity block on the first k columns.
-    for i in range(4):
-        for j in range(4):
-            assert G_sys.entry(i, j) == (1 if i == j else 0)
-    H = parity_check_from_generator(G_sys)
-    for i in range(4):
-        assert H.syndrome(G_sys.rows[i]) == 0
-    # Random combinations of rows stay in the kernel of H.
-    for _ in range(100):
-        mask = int(rng.integers(0, 16))
-        word = 0
-        for i in range(4):
-            if (mask >> i) & 1:
-                word ^= G_sys.rows[i]
-        assert H.syndrome(word) == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pwe.codes import codewords_of_weight, contains, encode, get_code
+from pwe.codes import catalog, codewords_of_weight, contains, encode, get_code
 from pwe.decoders import DecoderKind
 from pwe.gf2 import BitWord
 from pwe.harvest import (
@@ -74,8 +74,9 @@ def test_cyclic_orbit_closure_and_size():
         assert image.weight() == 7
 
 
-def test_shortened_orbit_stays_in_code():
-    code = get_code("bch-130-66")
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_shortened_orbit_stays_in_code(name):
+    code = get_code(name)
     rng = np.random.default_rng(52)
     for _ in range(10):
         bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
@@ -83,6 +84,37 @@ def test_shortened_orbit_stays_in_code():
         for image in expand_by_automorphisms(code, word):
             assert contains(code, image)
             assert image.weight() == word.weight()
+
+
+def lift_rotate_project_orbit(code, word: BitWord) -> set[int]:
+    """Reference orbit of a shortened word: insert zeros at the removed
+    parent coordinates, rotate in the parent, keep the rotations that vanish
+    there, and drop those coordinates again."""
+    parent = code.parent
+    removed = set(range(code.n, parent.n))
+    kept = [p for p in range(parent.n) if p not in removed]
+    lifted = sum(word.bit(src) << dst for src, dst in enumerate(kept))
+    mask = (1 << parent.n) - 1
+    orbit = set()
+    for s in range(parent.n):
+        rot = ((lifted << s) | (lifted >> (parent.n - s))) & mask
+        if not any((rot >> p) & 1 for p in removed):
+            orbit.add(sum(((rot >> p) & 1) << i for i, p in enumerate(kept)))
+    return orbit
+
+
+@pytest.mark.parametrize("name", ["bch-130-66", "bch-103-47", "bch-111-55"])
+def test_shortened_orbit_matches_lift_rotate_project(name):
+    code = get_code(name)
+    rng = np.random.default_rng(53)
+    for _ in range(10):
+        bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+        word = encode(code, BitWord.from_bits(bits.tolist()))
+        assert cyclic_orbit(code, word) == lift_rotate_project_orbit(code, word)
+    low = BitWord(code.n, code.generator_matrix.rows[0])  # g(x): many images
+    orbit = cyclic_orbit(code, low)
+    assert len(orbit) > 1
+    assert orbit == lift_rotate_project_orbit(code, low)
 
 
 def test_expand_rejects_non_members():
