@@ -11,6 +11,13 @@ def int_to_bits(value: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:n]
 
 
+def ints_to_bits(values, n: int) -> np.ndarray:
+    """LSB-first bit rows (uint8, len(values) x n) of non-negative ints below 2^n."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(nbytes, "little") for v in values), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=n, bitorder="little")
+
+
 def bits_to_int(bits: np.ndarray) -> int:
     """Inverse of int_to_bits."""
     packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")

@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .bitops import int_to_bits
+from .bitops import ints_to_bits
 from .gf2 import BitWord, GF2Matrix, GF2Poly, poly_gcd, poly_mod, rref, x_n_plus_1
 
 DEFAULT_EXHAUSTIVE_LIMIT = 26
@@ -113,7 +113,7 @@ def _systematic_form(G: GF2Matrix) -> SystematicForm:
         for p, r in zip(pivots, R.rows):
             row |= ((r >> c) & 1) << p
         h_rows.append(row)
-    bits = np.array([int_to_bits(r, G.ncols) for r in R.rows], dtype=np.uint8)
+    bits = ints_to_bits(R.rows, G.ncols)
     bits.flags.writeable = False
     return SystematicForm(R, tuple(pivots), GF2Matrix(tuple(h_rows), G.ncols), bits)
 
@@ -144,6 +144,15 @@ def contains(code: CodeSpec, word: BitWord) -> bool:
     if word.length != code.n:
         raise ValueError(f"word length {word.length} != n = {code.n}")
     return code.systematic.parity_check.syndrome(word.value) == 0
+
+
+def codeword_rows(code: CodeSpec, bits: np.ndarray) -> np.ndarray:
+    """Membership of each row of an m x n bit array, as m booleans: a row
+    is a codeword when it equals the re-encoding of its information bits."""
+    form = code.systematic
+    info = bits[:, form.info_positions].astype(np.float32)  # exact: sums stay below 2^24
+    reencoded = (info @ form.generator_bits).astype(np.int32) & 1
+    return np.all(reencoded == bits, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitops import bits_to_int, int_to_bits
+from .bitops import bits_to_int, int_to_bits, ints_to_bits
 from .codes import CodeSpec, iter_codewords
-from .gf2 import BitWord
+from .gf2 import BitWord, GF2Matrix, rref
 
 __all__ = ["DecoderKind", "parse_decoder", "mld_decode", "osd_decode", "decode"]
 
@@ -68,10 +68,7 @@ def _codebook(code: CodeSpec) -> tuple[np.ndarray, list[int]]:
     if code.k > MLD_MAX_K:
         raise ValueError(f"MLD needs k <= {MLD_MAX_K}, got k = {code.k}")
     words = list(iter_codewords(code))
-    bits = np.zeros((len(words), code.n), dtype=np.uint8)
-    for i, w in enumerate(words):
-        bits[i] = int_to_bits(w, code.n)
-    return bits, words
+    return ints_to_bits(words, code.n), words
 
 
 def _lex_value(word: int, n: int) -> int:
@@ -101,7 +98,17 @@ def mld_decode(code: CodeSpec, r) -> BitWord:
 @functools.lru_cache(maxsize=32)
 def _pattern_indices(k: int, t: int) -> np.ndarray:
     """All weight-t flip patterns on k positions, lexicographic, as index rows."""
-    return np.array(list(combinations(range(k), t)), dtype=np.intp).reshape(-1, t)
+    patterns = list(combinations(range(k), t))
+    return np.array(patterns, dtype=np.intp).reshape(len(patterns), t)
+
+
+@functools.lru_cache(maxsize=32)
+def _last_flip_mask(k: int, t: int) -> np.ndarray:
+    """+inf where position l cannot extend the weight-(t-1) prefix p (l <= max p), else 0."""
+    last = _pattern_indices(k, t - 1).max(axis=1, initial=-1)
+    mask = np.where(np.arange(k)[np.newaxis, :] <= last[:, np.newaxis], np.inf, 0.0)
+    mask.flags.writeable = False
+    return mask
 
 
 def osd_decode(code: CodeSpec, r, order: int) -> BitWord:
@@ -112,6 +119,22 @@ def osd_decode(code: CodeSpec, r, order: int) -> BitWord:
     the most-reliable basis (MRB); all flip patterns of weight 0..order on
     the hard-decided MRB bits are re-encoded and the closest candidate wins,
     earlier-enumerated patterns winning ties.
+
+    Scoring.  Flipping MRB bit j adds |r_j| to the correlation.  On the
+    redundancy columns let sigma = 1 - 2·bits, so that the sigma of an XOR
+    of rows is the product of their sigmas, and s = r·sigma(base).  Since
+    sum r·(base XOR x) = (sum r - s·sigma(x))/2, flip pattern x scores
+
+        sum_{j in x} |r_j| - (s/2)·prod_{j in x} sigma_j
+
+    up to a constant shared by all patterns.  Order t scores every
+    p + {l}, for p a weight-(t-1) prefix, with one matrix product: the
+    rows (s/2)·prod_{j in p} sigma_j, one per prefix in lexicographic
+    order, times the transposed sigma rows.  Entries with l <= max(p) are
+    masked to +inf.  A row-major argmin then returns the lexicographically
+    first minimum, and a pattern replaces the best so far only if it scores
+    strictly lower, so earlier patterns win ties; on inputs whose sums are
+    exact, such as dyadic values, ties resolve exactly.
     """
     if order > code.k:
         raise ValueError(f"OSD order {order} exceeds k = {code.k}")
@@ -121,62 +144,43 @@ def osd_decode(code: CodeSpec, r, order: int) -> BitWord:
     rank_order = np.lexsort((np.arange(n), -np.abs(r)))
     r_perm = r[rank_order]
     # Any generator of the code reduces to the same matrix over the MRB, so
-    # start from the systematic one.  The copy is row-major: the column
-    # gather alone returns a column-major array, slow to XOR row by row.
-    R = code.systematic.generator_bits[:, rank_order].copy()
-
-    # Eliminate in reliability order; pivot columns form the MRB.
-    mrb: list[int] = []
-    pr = 0
-    for col in range(n):
-        if pr == k:
-            break
-        hits = np.nonzero(R[pr:, col])[0]
-        if hits.size == 0:
-            continue
-        i = pr + int(hits[0])
-        if i != pr:
-            R[[pr, i]] = R[[i, pr]]
-        others = np.nonzero(R[:, col])[0]
-        others = others[others != pr]
-        if others.size:
-            R[others] ^= R[pr]
-        mrb.append(col)
-        pr += 1
+    # start from the systematic one, packed into ints in reliability order.
+    # Eliminate in that order; the pivot columns form the MRB.
+    packed = np.packbits(code.systematic.generator_bits[:, rank_order], axis=1,
+                         bitorder="little")
+    R, _, mrb = rref(GF2Matrix(tuple(int.from_bytes(row, "little") for row in packed), n))
+    R_bits = ints_to_bits(R.rows, n)
     mrb_arr = np.array(mrb, dtype=np.intp)
 
     hard = (r_perm[mrb_arr] < 0).astype(np.uint8)
-    base = (hard @ R) & 1
+    base = (hard @ R_bits) & 1
 
-    # Split the correlation into the MRB part and the redundancy part.
-    # Flipping MRB bit j moves the score by +|r| at that position (the hard
-    # decision matches the sign), so only the redundancy columns need the
-    # XOR-and-dot treatment per pattern.
-    red_arr = np.setdiff1d(np.arange(n), mrb_arr)
-    r_red = r_perm[red_arr]
-    R_red = np.ascontiguousarray(R[:, red_arr])
-    base_red = base[red_arr]
+    red_arr = np.delete(np.arange(n), mrb_arr)
+    sigma = 1.0 - 2.0 * R_bits[:, red_arr]
+    # -s/2: pattern x scores its flip gains plus red_weight·prod_{j in x} sigma_j.
+    red_weight = -0.5 * r_perm[red_arr] * (1.0 - 2.0 * base[red_arr])
     flip_gain = np.abs(r_perm[mrb_arr])
 
-    base_score = float(base @ r_perm)
-    bs_red = float(base_red @ r_red)
-    mrb_const = base_score - bs_red
-
-    best_score = base_score
-    best_cand = base
+    best_score = float(red_weight.sum())
+    best_pattern: tuple[int, ...] = ()
     for t in range(1, order + 1):
-        patterns = _pattern_indices(k, t)
-        cands_red = base_red[np.newaxis, :] ^ R_red[patterns[:, 0]]
-        for j in range(1, t):
-            cands_red = cands_red ^ R_red[patterns[:, j]]
-        scores = mrb_const + flip_gain[patterns].sum(axis=1) + cands_red @ r_red
+        prefixes = _pattern_indices(k, t - 1)
+        rows = red_weight[np.newaxis, :]
+        for col in prefixes.T:
+            rows = rows * sigma[col]
+        scores = rows @ sigma.T
+        scores += flip_gain
+        scores += flip_gain[prefixes].sum(axis=1)[:, np.newaxis]
+        scores += _last_flip_mask(k, t)
         i = int(np.argmin(scores))
-        if scores[i] < best_score:
-            best_score = float(scores[i])
-            best_cand = base.copy()
-            for j in patterns[i]:
-                best_cand ^= R[j]
+        p, l = divmod(i, k)
+        if scores[p, l] < best_score:
+            best_score = float(scores[p, l])
+            best_pattern = (*prefixes[p], l)
 
+    best_cand = base
+    for j in best_pattern:
+        best_cand = best_cand ^ R_bits[j]
     out = np.zeros(n, dtype=np.uint8)
     out[rank_order] = best_cand
     return BitWord(n, bits_to_int(out))

@@ -14,9 +14,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .codes import CodeSpec, cyclic_code, shorten
+import numpy as np
+
+from .bitops import ints_to_bits
+from .codes import CodeSpec, codeword_rows, cyclic_code, shorten
 from .estimator import PartialWeightEnumerator, RecoveryEstimate
-from .gf2 import BitWord, GF2Poly
+from .gf2 import GF2Poly
 from .harvest import WeightClassList
 from .bounds import BoundCurve
 
@@ -25,14 +28,35 @@ from .bounds import BoundCurve
 
 def write_weight_class(path, lst: WeightClassList):
     path = Path(path)
+    n = lst.code.n
+    digits = max(1, (n + 3) // 4)
     with path.open("w") as fh:
-        fh.write(f"# code={lst.code.name} n={lst.code.n} w={lst.w} count={len(lst)}\n")
-        for word in lst.words():
-            fh.write(word.to_hex() + "\n")
+        fh.write(f"# code={lst.code.name} n={n} w={lst.w} count={len(lst)}\n")
+        fh.write("".join(f"{v:0{digits}x}\n" for v in sorted(lst.values())))
+
+
+# Words are checked in blocks of this many, so the bit arrays stay small.
+_CHECK_BLOCK = 4096
+
+
+def _check_words(path, code: CodeSpec, w: int, values: list[int]):
+    """Raise ValueError at the first value that is not a weight-w codeword."""
+    for value in values:
+        if not 0 <= value < 1 << code.n:
+            raise ValueError(f"{path}: word {value:x} does not fit in n = {code.n} bits")
+    bits = ints_to_bits(values, code.n)
+    weights = bits.sum(axis=1)
+    bad_weight = weights != w
+    bad = bad_weight | ~codeword_rows(code, bits)
+    if bad.any():
+        i = int(np.argmax(bad))
+        problem = (f"has weight {weights[i]}, not {w}" if bad_weight[i]
+                   else f"is not a codeword of {code.name}")
+        raise ValueError(f"{path}: word {values[i]:x} {problem}")
 
 
 def read_weight_class(path, code: CodeSpec) -> WeightClassList:
-    """Read one list file; every word is checked for weight and membership."""
+    """Read one list file; every word is checked for range, weight and membership."""
     path = Path(path)
     with path.open() as fh:
         header = fh.readline().strip()
@@ -45,16 +69,14 @@ def read_weight_class(path, code: CodeSpec) -> WeightClassList:
         w = int(fields["w"])
         if n != code.n:
             raise ValueError(f"{path}: length {n} does not match code n = {code.n}")
-        lst = WeightClassList(code, w)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            lst.add(BitWord.from_hex(n, line))
-    if len(lst) != int(fields["count"]):
+        values = [int(line, 16) for line in map(str.strip, fh) if line]
+    for start in range(0, len(values), _CHECK_BLOCK):
+        _check_words(path, code, w, values[start:start + _CHECK_BLOCK])
+    members = set(values)
+    if len(members) != int(fields["count"]):
         raise ValueError(f"{path}: header says count={fields['count']} "
-                         f"but the file holds {len(lst)} distinct words")
-    return lst
+                         f"but the file holds {len(members)} distinct words")
+    return WeightClassList(code, w, members)
 
 
 def weight_class_filename(code_name: str, w: int) -> str:

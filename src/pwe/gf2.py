@@ -81,10 +81,6 @@ class BitWord:
         ndigits = max(1, (self.length + 3) // 4)
         return format(self.value, f"0{ndigits}x")
 
-    @classmethod
-    def from_hex(cls, length: int, text: str) -> "BitWord":
-        return cls(length, int(text, 16))
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self.bits())
 

@@ -68,8 +68,9 @@ class WeightClassList:
     """Deduplicated codewords of one fixed weight.
 
     Members given to the constructor are trusted: they must already be
-    weight-w codewords, as harvest() and merge_lists() guarantee.  Words
-    from anywhere else (files, user code) go through ``add``, which checks.
+    weight-w codewords, as harvest(), merge_lists() and
+    fileio.read_weight_class() guarantee.  Words from user code go
+    through ``add``, which checks.
     """
 
     code: CodeSpec

@@ -1,6 +1,7 @@
 """MLD and ordered-statistics decoding."""
 
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from pwe.bitops import bpsk, int_to_bits
 from pwe.codes import contains, encode, get_code, iter_codewords
 from pwe.decoders import (
     DecoderKind,
+    _pattern_indices,
     decode,
     euclidean_score,
     mld_decode,
@@ -158,3 +160,114 @@ def osd_corpus_digest() -> str:
 
 def test_osd_outputs_are_frozen():
     assert osd_corpus_digest() == OSD_CORPUS_SHA256
+
+
+def test_pattern_indices_shapes():
+    assert _pattern_indices(5, 0).shape == (1, 0)
+    assert _pattern_indices(5, 2).tolist() == [list(p) for p in combinations(range(5), 2)]
+    assert _pattern_indices(3, 4).shape == (0, 4)
+
+
+def reference_osd_decode(code, r, order):
+    """OSD with column-by-column uint8 elimination and one re-encoded
+    candidate per flip pattern: the kernel osd_decode must agree with."""
+    r = np.asarray(r, dtype=np.float64)
+    n, k = code.n, code.k
+    rank_order = np.lexsort((np.arange(n), -np.abs(r)))
+    r_perm = r[rank_order]
+    R = code.systematic.generator_bits[:, rank_order].copy()
+    mrb, pr = [], 0
+    for col in range(n):
+        if pr == k:
+            break
+        hits = np.nonzero(R[pr:, col])[0]
+        if hits.size == 0:
+            continue
+        i = pr + int(hits[0])
+        if i != pr:
+            R[[pr, i]] = R[[i, pr]]
+        others = np.nonzero(R[:, col])[0]
+        others = others[others != pr]
+        if others.size:
+            R[others] ^= R[pr]
+        mrb.append(col)
+        pr += 1
+    mrb_arr = np.array(mrb, dtype=np.intp)
+    hard = (r_perm[mrb_arr] < 0).astype(np.uint8)
+    base = (hard @ R) & 1
+    red_arr = np.setdiff1d(np.arange(n), mrb_arr)
+    r_red = r_perm[red_arr]
+    R_red = np.ascontiguousarray(R[:, red_arr])
+    base_red = base[red_arr]
+    flip_gain = np.abs(r_perm[mrb_arr])
+    base_score = float(base @ r_perm)
+    mrb_const = base_score - float(base_red @ r_red)
+    best_score, best_cand = base_score, base
+    for t in range(1, order + 1):
+        patterns = np.array(list(combinations(range(k), t)), dtype=np.intp)
+        cands_red = base_red[np.newaxis, :] ^ R_red[patterns[:, 0]]
+        for j in range(1, t):
+            cands_red = cands_red ^ R_red[patterns[:, j]]
+        scores = mrb_const + flip_gain[patterns].sum(axis=1) + cands_red @ r_red
+        i = int(np.argmin(scores))
+        if scores[i] < best_score:
+            best_score = float(scores[i])
+            best_cand = base.copy()
+            for j in patterns[i]:
+                best_cand ^= R[j]
+    out = np.zeros(n, dtype=np.uint8)
+    out[rank_order] = best_cand
+    return int.from_bytes(np.packbits(out, bitorder="little").tobytes(), "little")
+
+
+def harvest_like(code, rng, count):
+    """BPSK codewords with AWGN at 4 dB and one impulse of amplitude d - 1."""
+    sigma = noise_sigma(4.0, code.rate)
+    for _ in range(count):
+        tx = bpsk(int_to_bits(random_codeword(code, rng), code.n))
+        r = tx + sigma * rng.normal(size=code.n)
+        pos = int(rng.integers(code.n))
+        r[pos] -= (code.d_known - 1) * np.sign(tx[pos])
+        yield r
+
+
+def tie_heavy(code, rng, count):
+    """Inputs with many exactly equal reliabilities and scores: all zeros,
+    +-1 vectors, single-impulse sweeps in steps of 0.5, and AWGN rounded to
+    integers."""
+    yield np.zeros(code.n)
+    sigma = noise_sigma(4.0, code.rate)
+    for _ in range(count):
+        tx = bpsk(int_to_bits(random_codeword(code, rng), code.n))
+        yield 1.0 - 2.0 * rng.integers(0, 2, size=code.n)
+        r = tx.copy()
+        pos = int(rng.integers(code.n))
+        r[pos] -= 0.5 * int(rng.integers(1, 2 * code.d_known + 5)) * tx[pos]
+        yield r
+        yield np.round(tx + 2 * sigma * rng.normal(size=code.n))
+
+
+def random_codeword(code, rng):
+    bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+    return encode(code, BitWord.from_bits(bits.tolist())).value
+
+
+# (code, orders, harvest-like vectors, tie-heavy rounds of 3 vectors each).
+OSD_DIFFERENTIAL = (
+    ("bch-127-50", (0, 1, 2, 3), 30, 10),
+    ("bch-130-66", (3,), 15, 5),
+    ("bch-103-47", (3,), 15, 5),
+    ("bch-111-55", (3,), 15, 5),
+    ("golay-24-12", (0, 1, 2, 3, 4, 5, 12), 40, 20),
+)
+
+
+@pytest.mark.parametrize("name,orders,harvested,rounds", OSD_DIFFERENTIAL,
+                         ids=[case[0] for case in OSD_DIFFERENTIAL])
+def test_osd_matches_per_pattern_reference(name, orders, harvested, rounds):
+    code = get_code(name)
+    for order in orders:
+        rng = np.random.default_rng([38, code.n, order])
+        vectors = [*harvest_like(code, rng, harvested), *tie_heavy(code, rng, rounds)]
+        for r in vectors:
+            assert osd_decode(code, r, order).value == reference_osd_decode(code, r, order)

@@ -140,3 +140,42 @@ def test_manifest_contents(tmp_path):
     assert data["parameters"] == {"trials": 10}
     assert data["outputs"] == [str(tmp_path / "out.txt")]
     assert data["finished"] >= data["started"]
+
+
+def write_raw_list(path, code, w, hex_words):
+    path.write_text(f"# code={code.name} n={code.n} w={w} count={len(hex_words)}\n"
+                    + "".join(h + "\n" for h in hex_words))
+
+
+def test_weight_class_rejects_non_codeword(tmp_path):
+    code, lst = golay_list()
+    good = [word.to_hex() for word in lst.words()]
+    # Two flipped bits keep the weight at 8 but leave the code (d = 8).
+    v = lst.words()[3].value
+    low = v & -v
+    zero = ~v & (v + 1)
+    bad = BitWord(24, v ^ low ^ zero)
+    assert bad.weight() == 8
+    path = tmp_path / "x.txt"
+    write_raw_list(path, code, 8, good[:3] + [bad.to_hex()] + good[3:])
+    with pytest.raises(ValueError):
+        fileio.read_weight_class(path, code)
+
+
+def test_weight_class_rejects_wrong_weight(tmp_path):
+    code, lst = golay_list()
+    twelve = BitWord(24, codewords_of_weight(code, 12)[0])
+    path = tmp_path / "x.txt"
+    write_raw_list(path, code, 8, [word.to_hex() for word in lst.words()] + [twelve.to_hex()])
+    with pytest.raises(ValueError):
+        fileio.read_weight_class(path, code)
+
+
+def test_weight_class_rejects_out_of_range_word(tmp_path):
+    code, lst = golay_list()
+    # 2^24 plus a weight-8 codeword: cut to its low n bits it would pass.
+    big = format((1 << 24) | lst.words()[0].value, "x")
+    path = tmp_path / "x.txt"
+    write_raw_list(path, code, 8, [word.to_hex() for word in lst.words()[1:]] + [big])
+    with pytest.raises(ValueError):
+        fileio.read_weight_class(path, code)
