@@ -75,7 +75,7 @@ class WeightDistribution:
         return dict(self.counts)
 
     def __getitem__(self, w: int) -> int:
-        return self.as_dict().get(w, 0)
+        return next((a for v, a in self.counts if v == w), 0)
 
     def total(self) -> int:
         return sum(a for _, a in self.counts)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bitops import bpsk, int_to_bits
 from .codes import CodeSpec, contains, encode
-from .decoders import DecoderKind, decode
+from .decoders import DecoderKind, decode, decode_batch
 from .gf2 import BitWord
 from .sim import noise_sigma
 
@@ -34,6 +34,8 @@ TRANSMIT_MODES = ("all_zero", "random_codeword")
 # one decode per trial, which makes it the cheapest source of decoder errors
 # concentrated on the low weight classes.
 IMPULSE_MODES = ("gaussian_noise", "single_impulse_sweep", "noisy_impulse")
+# Trials decoded per decode_batch call, as many as a simulation batch.
+_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -118,26 +120,30 @@ def _impulse_amplitude(code: CodeSpec, config: HarvestConfig) -> float:
     return code.n / 4.0
 
 
+def _perturb(code: CodeSpec, config: HarvestConfig,
+             rng: np.random.Generator) -> tuple[BitWord, np.ndarray]:
+    """The sent codeword and the received vector of a gaussian_noise or
+    noisy_impulse trial."""
+    c1 = _draw_transmit(code, config.transmit_mode, rng)
+    tx = bpsk(int_to_bits(c1.value, code.n))
+    snr = float(rng.choice(np.asarray(config.snr_grid_db, dtype=np.float64)))
+    r = tx + noise_sigma(snr, code.rate) * rng.normal(size=code.n)
+    if config.impulse_mode == "noisy_impulse":
+        pos = int(rng.integers(code.n))
+        r[pos] -= _impulse_amplitude(code, config) * np.sign(tx[pos])
+    return c1, r
+
+
 def impulse_trial(
     code: CodeSpec, config: HarvestConfig, rng: np.random.Generator
 ) -> Optional[BitWord]:
     """One perturb-and-decode trial; returns the difference codeword or None."""
-    c1 = _draw_transmit(code, config.transmit_mode, rng)
-    tx = bpsk(int_to_bits(c1.value, code.n))
-
-    if config.impulse_mode == "gaussian_noise":
-        snr = float(rng.choice(np.asarray(config.snr_grid_db, dtype=np.float64)))
-        sigma = noise_sigma(snr, code.rate)
-        r = tx + sigma * rng.normal(size=code.n)
-        c2 = decode(config.decoder, code, r)
-    elif config.impulse_mode == "noisy_impulse":
-        snr = float(rng.choice(np.asarray(config.snr_grid_db, dtype=np.float64)))
-        sigma = noise_sigma(snr, code.rate)
-        r = tx + sigma * rng.normal(size=code.n)
-        pos = int(rng.integers(code.n))
-        r[pos] -= _impulse_amplitude(code, config) * np.sign(tx[pos])
+    if config.impulse_mode != "single_impulse_sweep":
+        c1, r = _perturb(code, config, rng)
         c2 = decode(config.decoder, code, r)
     else:
+        c1 = _draw_transmit(code, config.transmit_mode, rng)
+        tx = bpsk(int_to_bits(c1.value, code.n))
         pos = int(rng.integers(code.n))
         cap = float((code.d_known or code.n) + 2)
         c2 = c1
@@ -153,6 +159,23 @@ def impulse_trial(
     if c2 == c1:
         return None
     return c1 ^ c2
+
+
+def _trial_block(code: CodeSpec, config: HarvestConfig, trials: range) -> list[Optional[BitWord]]:
+    """impulse_trial of each trial in the range, on its own (seed, trial)
+    stream.  A sweep's decodes each depend on the one before, so it runs
+    trial by trial; the other modes decode the whole block in one call."""
+    rngs = [np.random.default_rng([config.seed, trial]) for trial in trials]
+    if config.impulse_mode == "single_impulse_sweep":
+        return [impulse_trial(code, config, rng) for rng in rngs]
+    sent, received = zip(*(_perturb(code, config, rng) for rng in rngs))
+    decoded = np.packbits(decode_batch(config.decoder, code, np.array(received)),
+                          axis=1, bitorder="little")
+    finds = []
+    for c1, row in zip(sent, decoded):
+        diff = c1.value ^ int.from_bytes(row.tobytes(), "little")
+        finds.append(BitWord(code.n, diff) if diff else None)
+    return finds
 
 
 def cyclic_orbit(code: CodeSpec, word: BitWord) -> set[int]:
@@ -185,12 +208,14 @@ def harvest(code: CodeSpec, config: HarvestConfig) -> dict[int, WeightClassList]
 
     Per-trial random streams are derived from (seed, trial index), so the
     result is reproducible and grows monotonically with the trial budget.
+    Trials are decoded in blocks of up to _BLOCK and their finds taken in
+    trial order.
     """
     raw: dict[int, set[int]] = {}
     d_est = code.d_known
-    for trial in range(config.trials):
-        rng = np.random.default_rng([config.seed, trial])
-        c3 = impulse_trial(code, config, rng)
+    blocks = (range(start, min(start + _BLOCK, config.trials))
+              for start in range(0, config.trials, _BLOCK))
+    for c3 in (c3 for block in blocks for c3 in _trial_block(code, config, block)):
         if c3 is None:
             continue
         w = c3.weight()

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import int_to_bits
 from .codes import CodeSpec
-from .decoders import DecoderKind, _codebook, osd_decode
+# osd_decode is not called here; bench/spans.py traces it at this site.
+from .decoders import DecoderKind, decode_batch, osd_decode  # noqa: F401
 
 __all__ = ["SimConfig", "SimPoint", "noise_sigma", "simulate_point", "simulate_curve"]
 
@@ -71,11 +71,6 @@ def simulate_point(
     info_cols = np.array(code.systematic.info_positions, dtype=np.intp)
     k, n = code.k, code.n
 
-    use_mld = decoder.variant == "mld"
-    if use_mld:
-        cb_bits, cb_words = _codebook(code)
-        cb = cb_bits.astype(np.float64)
-
     blocks = 0
     bit_errors = 0
     while True:
@@ -88,17 +83,7 @@ def simulate_point(
         info = rng.integers(0, 2, size=(batch, k), dtype=np.uint8)
         tx = (info @ G) & 1
         recv = (1.0 - 2.0 * tx) + sigma * rng.normal(size=(batch, n))
-
-        if use_mld:
-            scores = recv @ cb.T  # row-wise minimizer = ML codeword
-            picks = np.argmin(scores, axis=1)
-            decoded = cb_bits[picks]
-        else:
-            decoded = np.zeros_like(tx)
-            for b in range(batch):
-                word = osd_decode(code, recv[b], decoder.order)
-                decoded[b] = int_to_bits(word.value, n)
-
+        decoded = decode_batch(decoder, code, recv)
         diffs = (decoded[:, info_cols] ^ tx[:, info_cols]).sum()
         bit_errors += int(diffs)
         blocks += batch

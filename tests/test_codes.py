@@ -32,6 +32,17 @@ def test_hamming_weight_distribution():
     assert wd.total() == 2**4
 
 
+def test_weight_lookup_does_not_rebuild_the_dict(monkeypatch):
+    wd = exact_weight_distribution(get_code("golay-24-12"))
+
+    def rebuilt(self):
+        raise AssertionError("as_dict called by a lookup")
+
+    monkeypatch.setattr(type(wd), "as_dict", rebuilt)
+    assert wd[8] == 759
+    assert wd[9] == 0
+
+
 def test_minimum_distances():
     assert minimum_distance_exhaustive(get_code("hamming-7-4")) == 3
     assert minimum_distance_exhaustive(get_code("golay-24-12")) == 8

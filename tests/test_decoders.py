@@ -6,18 +6,24 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from pwe.bitops import bpsk, int_to_bits
+from pwe import decoders
+from pwe.bitops import bpsk, int_to_bits, ints_to_bits
 from pwe.codes import contains, encode, get_code, iter_codewords
 from pwe.decoders import (
+    BLOCK_ELIMINATION_MIN,
     DecoderKind,
+    _eliminate_block,
+    _last_flip_mask,
     _pattern_indices,
     decode,
+    decode_batch,
     euclidean_score,
     mld_decode,
     osd_decode,
     parse_decoder,
 )
-from pwe.gf2 import BitWord
+from pwe.gf2 import BitWord, GF2Matrix, rref
+from pwe.harvest import HarvestConfig, harvest
 from pwe.sim import SimConfig, noise_sigma, simulate_point
 
 
@@ -271,3 +277,114 @@ def test_osd_matches_per_pattern_reference(name, orders, harvested, rounds):
         vectors = [*harvest_like(code, rng, harvested), *tie_heavy(code, rng, rounds)]
         for r in vectors:
             assert osd_decode(code, r, order).value == reference_osd_decode(code, r, order)
+
+
+@pytest.mark.parametrize("name,count", [("hamming-7-4", 300), ("golay-24-12", 150)])
+def test_mld_breaks_ties_lexicographically(name, count):
+    # Entries in {-1, -1/2, 0, 1/2, 1}: every correlation is exact, and
+    # many inputs have several minimal codewords.
+    code = get_code(name)
+    words = list(iter_codewords(code))
+    bits = ints_to_bits(words, code.n)
+    rng = np.random.default_rng([39, code.n])
+    received = rng.integers(-2, 3, size=(count, code.n)) / 2.0
+    rows = decode_batch(DecoderKind("mld"), code, received)
+    tied = 0
+    for r, row in zip(received, rows):
+        scores = bits @ r
+        best = np.flatnonzero(scores == scores.min())
+        tied += len(best) > 1
+        # The smallest (b_0, b_1, ...) sequence among the minimal codewords.
+        want = words[min(best, key=lambda i: tuple(bits[i]))]
+        assert mld_decode(code, r).value == want
+        assert BitWord.from_bits(row.tolist()).value == want
+    assert tied > count // 4
+
+
+@pytest.mark.parametrize("k,t", [(1, 1), (4, 1), (5, 2), (6, 3), (7, 4), (5, 5)])
+def test_last_flip_mask_keeps_each_pattern_once_in_order(k, t):
+    mask = _last_flip_mask(k, t)
+    prefixes = _pattern_indices(k, t - 1)
+    assert mask.shape == (len(prefixes), k)
+    assert set(np.unique(mask)) <= {0.0, np.inf}
+    kept = [(*prefixes[p], l) for p, l in zip(*np.nonzero(mask == 0))]
+    assert kept == list(combinations(range(k), t))
+
+
+def test_both_paths_apply_the_last_flip_mask(monkeypatch):
+    # With every reprocessing entry masked, any order decodes as order 0:
+    # on one row (gf2.rref per row) and on a block (block elimination).
+    code = get_code("bch-127-50")
+    received = np.array(list(harvest_like(code, np.random.default_rng(40), 2 * BLOCK_ELIMINATION_MIN)))
+    order0 = decode_batch(DecoderKind("osd", 0), code, received)
+    order3 = decode_batch(DecoderKind("osd", 3), code, received)
+    assert (order3 != order0).any()
+    monkeypatch.setattr(decoders, "_last_flip_mask",
+                        lambda k, t: np.full((len(_pattern_indices(k, t - 1)), k), np.inf))
+    assert (decode_batch(DecoderKind("osd", 3), code, received) == order0).all()
+    for r, row in zip(received[:3], order0):
+        assert osd_decode(code, r, 3).value == BitWord.from_bits(row.tolist()).value
+
+
+@pytest.mark.parametrize("kind", [DecoderKind("mld"), DecoderKind("osd", 2)], ids=str)
+def test_decode_batch_validates_its_input(kind):
+    code = get_code("hamming-7-4")
+    for shape in ((7,), (3, 6), (3, 8), (2, 3, 7)):
+        with pytest.raises(ValueError):
+            decode_batch(kind, code, np.zeros(shape))
+    for bad in (np.nan, np.inf, -np.inf):
+        received = np.ones((3, 7))
+        received[1, 4] = bad
+        with pytest.raises(ValueError):
+            decode_batch(kind, code, received)
+
+
+@pytest.mark.parametrize("kind", [DecoderKind("mld"), DecoderKind("osd", 2)], ids=str)
+def test_decode_batch_of_no_rows_is_empty(kind):
+    out = decode_batch(kind, get_code("golay-24-12"), np.zeros((0, 24)))
+    assert out.shape == (0, 24) and out.dtype == np.uint8
+
+
+def test_harvest_of_no_trials_is_empty():
+    config = HarvestConfig(decoder=DecoderKind("osd", 1), trials=0, seed=0,
+                           impulse_mode="noisy_impulse")
+    assert harvest(get_code("bch-127-50"), config) == {}
+
+
+# (code, decoders) for the block-versus-row differential test.
+BATCH_DIFFERENTIAL = (
+    ("bch-127-50", ("osd:0", "osd:1", "osd:2", "osd:3")),
+    ("bch-130-66", ("osd:0", "osd:1", "osd:2", "osd:3")),
+    ("golay-24-12", ("mld", "osd:0", "osd:1", "osd:2", "osd:3")),
+)
+
+
+@pytest.mark.parametrize("name,kinds", BATCH_DIFFERENTIAL, ids=[c[0] for c in BATCH_DIFFERENTIAL])
+def test_decode_batch_rows_equal_one_row_decodes(name, kinds):
+    code = get_code(name)
+    rng = np.random.default_rng([41, code.n])
+    received = np.array([*harvest_like(code, rng, 24), *tie_heavy(code, rng, 8)])
+    small = BLOCK_ELIMINATION_MIN - 1
+    for text in kinds:
+        kind = parse_decoder(text)
+        one = np.array([decode_batch(kind, code, r[np.newaxis])[0] for r in received])
+        assert (decode_batch(kind, code, received) == one).all(), text
+        assert (decode_batch(kind, code, received[:small]) == one[:small]).all(), text
+        for r, row in zip(received[:4], one):
+            assert decode(kind, code, r).value == BitWord.from_bits(row.tolist()).value
+
+
+@pytest.mark.parametrize("name", ["bch-127-50", "bch-130-66", "golay-24-12"])
+def test_block_elimination_equals_gf2_rref(name):
+    code = get_code(name)
+    rng = np.random.default_rng([42, code.n])
+    received = np.array([*harvest_like(code, rng, 40), *tie_heavy(code, rng, 8)])
+    rank_order = np.argsort(-np.abs(received), axis=1, kind="stable")
+    ranked = np.take(code.systematic.generator_bits, rank_order, axis=1).transpose(1, 0, 2)
+    R_bits, pivots = _eliminate_block(ranked)
+    for b in range(len(received)):
+        rows = tuple(BitWord.from_bits(row.tolist()).value for row in ranked[b])
+        R, rank, want = rref(GF2Matrix(rows, code.n))
+        assert rank == code.k
+        assert pivots[b].tolist() == want
+        assert (R_bits[b] == ints_to_bits(R.rows, code.n)).all()

@@ -188,6 +188,9 @@ def test_merge_lists_rejects_another_code():
 
 
 def test_harvest_rejects_a_non_codeword_find(monkeypatch):
-    monkeypatch.setattr("pwe.harvest.decode", lambda kind, code, r: BitWord(code.n, 1))
+    def weight_one(kind, code, received):
+        return np.eye(len(received), code.n, dtype=np.uint8)
+
+    monkeypatch.setattr("pwe.harvest.decode_batch", weight_one)
     with pytest.raises(ValueError):
         harvest(get_code("qr-23-12"), mld_cfg(1, 58, transmit_mode="all_zero"))
