@@ -10,6 +10,7 @@ minimize the correlation Σ r_i·c_i, which has the same argmin.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -89,6 +90,12 @@ def _last_flip_mask(k: int, t: int) -> np.ndarray:
     mask = np.where(np.arange(k)[np.newaxis, :] <= last[:, np.newaxis], np.inf, 0.0)
     mask.flags.writeable = False
     return mask
+
+
+# Largest reprocessing table OSD may hold, in bytes, as MLD_MAX_K caps the
+# codebook: order t builds the C(k, t-1) x k float64 _last_flip_mask, and
+# each row's order-t scores are as large.
+OSD_MAX_TABLE_BYTES = 1 << 28
 
 
 # Blocks smaller than this are eliminated row by row with gf2.rref.  The
@@ -216,6 +223,12 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     (B, n), k = received.shape, code.k
     if order > k:
         raise ValueError(f"OSD order {order} exceeds k = {k}")
+    # Refuse, before any table is built, an order whose largest mask, at
+    # t - 1 = min(order - 1, k // 2), exceeds the cap.
+    table = 8 * k * math.comb(k, min(order - 1, k // 2)) if order else 0
+    if table > OSD_MAX_TABLE_BYTES:
+        raise ValueError(f"OSD order {order} at k = {k} needs a {table / 1e6:,.0f} MB "
+                         f"reprocessing table; the cap is {OSD_MAX_TABLE_BYTES / 1e6:,.0f} MB")
     rank_order = np.argsort(-np.abs(received), axis=1, kind="stable")
     rows = np.arange(B)
     each = rows[:, np.newaxis]

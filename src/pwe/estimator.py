@@ -4,11 +4,18 @@ Given a harvested list L_w of weight-w codewords, repeatedly draw random
 weight-w codewords and measure the fraction already in the list.  The mean
 recovery rate over q repetitions gives |C_w| ~= |L_w| / R with a confidence
 interval from the normal approximation of the repetition means.
+
+For codes too large to enumerate, ImpulseSampler draws the words with the
+same error-impulse trials as the harvest, on streams of its own.  It is a
+stream of finds: it runs its trials in blocks of REFILL_BLOCK, decoded with
+one decode_batch call, queues every find under its weight and hands each
+find out once, so the trials of one weight's draws also serve the others.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -17,7 +24,9 @@ import numpy as np
 from .bounds import q_function
 from .codes import CodeSpec, codewords_of_weight
 from .gf2 import BitWord
-from .harvest import HarvestConfig, WeightClassList, cyclic_orbit, impulse_trial
+from .harvest import HarvestConfig, WeightClassList, _trial_block, cyclic_orbit
+# impulse_trial is not called here; bench/spans.py traces it at this site.
+from .harvest import impulse_trial  # noqa: F401
 
 __all__ = [
     "RecoveryEstimate",
@@ -105,30 +114,55 @@ class ExactUniformSampler:
         return cls[int(rng.integers(len(cls)))]
 
 
-class ImpulseSampler:
-    """Heuristic weight-w draws for large codes.
+# Trials decoded per ImpulseSampler refill.  A larger block decodes each row
+# faster but leaves more unused finds when an estimate ends: on a 2-vCPU VM,
+# 16 made validation criterion 9 about 25% slower than 64, and 256 made the
+# osd3-harvest bench about 15% slower.
+REFILL_BLOCK = 64
 
-    Runs impulse trials until one yields a weight-w codeword, then applies a
-    uniformly random automorphism to flatten the within-orbit distribution.
-    The random stream MUST be independent of the harvest that built the list
-    under test, otherwise the recovery rate is biased upward.
+
+class ImpulseSampler:
+    """Heuristic weight-w draws for large codes: a stream of finds.
+
+    The sampler keeps one first-in first-out queue of finds per weight.
+    ``draw(w, rng)`` takes the oldest weight-w find and returns a uniformly
+    random member of its automorphism orbit, picked with ``rng``, which
+    flattens the within-orbit distribution.  When the weight-w queue is
+    empty, the sampler refills: it runs REFILL_BLOCK impulse trials from
+    ``rng``, one after the other, decodes them with one decode_batch call
+    and queues every find under its weight, so the trials of a weight-27
+    draw also stock the weight-28 draws.  No find is handed out twice.
+
+    ``budget`` bounds the trials one draw may run without a weight-w find:
+    the last refill is cut to the budget left, and after ``budget`` such
+    trials the draw raises SamplerError.
+
+    The random streams passed to ``draw`` MUST be independent of the
+    harvest that built the list under test, otherwise the recovery rate is
+    biased upward.  Queued finds come from the streams of earlier draws,
+    which are equally independent of it.
     """
 
     def __init__(self, code: CodeSpec, config: HarvestConfig, budget: int = 5000):
         self.code = code
         self.config = config
         self.budget = budget
+        self._finds: defaultdict[int, deque[BitWord]] = defaultdict(deque)
 
     def draw(self, w: int, rng: np.random.Generator) -> int:
-        for _ in range(self.budget):
-            c3 = impulse_trial(self.code, self.config, rng)
-            if c3 is None or c3.weight() != w:
-                continue
-            orbit = sorted(cyclic_orbit(self.code, c3))
-            return orbit[int(rng.integers(len(orbit)))]
-        raise SamplerError(
-            f"impulse sampler found no weight-{w} codeword in {self.budget} trials"
-        )
+        queue = self._finds[w]
+        misses = 0
+        while not queue:
+            if misses >= self.budget:
+                raise SamplerError(
+                    f"impulse sampler found no weight-{w} codeword in {self.budget} trials")
+            block = min(REFILL_BLOCK, self.budget - misses)
+            for c3 in _trial_block(self.code, self.config, [rng] * block):
+                if c3 is not None:
+                    self._finds[c3.weight()].append(c3)
+            misses += block
+        orbit = sorted(cyclic_orbit(self.code, queue.popleft()))
+        return orbit[int(rng.integers(len(orbit)))]
 
 
 def sample_weight_w(sampler, code: CodeSpec, w: int, rng: np.random.Generator) -> BitWord:

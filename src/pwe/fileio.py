@@ -101,15 +101,27 @@ def read_lists_dir(directory, code: CodeSpec) -> dict[int, WeightClassList]:
 
 # --- PWE tables ------------------------------------------------------------
 
+# Columns of a PWE table, in file order.  A float's str is its shortest
+# round-trip repr, so read_pwe restores every RecoveryEstimate exactly.
+PWE_COLUMNS = ("w", "count_estimate", "lower", "upper", "complete",
+               "list_size", "r_bar", "sigma", "beta", "r_lo", "r_hi")
+_FAILURE = "# failure "
+
+
 def write_pwe(path, pwe: PartialWeightEnumerator, mu: float, M: int, q: int):
+    """One row per entry; each failure is a comment line holding its weight
+    and its message as a JSON string."""
     path = Path(path)
     with path.open("w") as fh:
         fh.write(f"# code={pwe.code_name} mu={mu} M={M} q={q}\n")
-        fh.write("w,count_estimate,lower,upper,complete\n")
+        for w, message in pwe.failures:
+            fh.write(f"{_FAILURE}w={w} {json.dumps(message)}\n")
+        fh.write(",".join(PWE_COLUMNS) + "\n")
         for e in pwe.entries:
             fh.write(
-                f"{e.w},{e.count_estimate},{e.count_interval[0]},"
-                f"{e.count_interval[1]},{int(e.complete)}\n"
+                f"{e.w},{e.count_estimate},{e.count_interval[0]},{e.count_interval[1]},"
+                f"{int(e.complete)},{e.list_size},{e.r_bar},{e.sigma},{e.beta},"
+                f"{e.r_interval[0]},{e.r_interval[1]}\n"
             )
 
 
@@ -118,29 +130,38 @@ def read_pwe(path) -> PartialWeightEnumerator:
     with path.open() as fh:
         header = fh.readline().strip()
         fields = dict(kv.split("=", 1) for kv in header[2:].split())
-        fh.readline()  # column names
+        failures = []
+        line = fh.readline()
+        while line.startswith(_FAILURE):
+            w, message = line[len(_FAILURE):].split(" ", 1)
+            failures.append((int(w.removeprefix("w=")), json.loads(message)))
+            line = fh.readline()
+        columns = line.strip().split(",")
+        missing = [c for c in PWE_COLUMNS if c not in columns]
+        if missing:
+            raise ValueError(f"{path}: PWE table lacks the columns {', '.join(missing)}")
         entries = []
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            w, est, lo, hi, complete = line.split(",")
+            row = dict(zip(columns, line.split(",")))
             entries.append(
                 RecoveryEstimate(
-                    w=int(w),
-                    list_size=0,
-                    r_bar=0.0,
-                    sigma=0.0,
-                    q=int(fields.get("q", 0)),
-                    mu=float(fields.get("mu", 0.0)),
-                    beta=0.0,
-                    r_interval=(0.0, 0.0),
-                    count_interval=(int(lo), int(hi)),
-                    count_estimate=int(est),
-                    complete=bool(int(complete)),
+                    w=int(row["w"]),
+                    list_size=int(row["list_size"]),
+                    r_bar=float(row["r_bar"]),
+                    sigma=float(row["sigma"]),
+                    q=int(fields["q"]),
+                    mu=float(fields["mu"]),
+                    beta=float(row["beta"]),
+                    r_interval=(float(row["r_lo"]), float(row["r_hi"])),
+                    count_interval=(int(row["lower"]), int(row["upper"])),
+                    count_estimate=int(row["count_estimate"]),
+                    complete=bool(int(row["complete"])),
                 )
             )
-    return PartialWeightEnumerator(fields.get("code", "?"), tuple(entries))
+    return PartialWeightEnumerator(fields.get("code", "?"), tuple(entries), tuple(failures))
 
 
 # --- curves ----------------------------------------------------------------

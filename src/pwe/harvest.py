@@ -161,11 +161,13 @@ def impulse_trial(
     return c1 ^ c2
 
 
-def _trial_block(code: CodeSpec, config: HarvestConfig, trials: range) -> list[Optional[BitWord]]:
-    """impulse_trial of each trial in the range, on its own (seed, trial)
-    stream.  A sweep's decodes each depend on the one before, so it runs
-    trial by trial; the other modes decode the whole block in one call."""
-    rngs = [np.random.default_rng([config.seed, trial]) for trial in trials]
+def _trial_block(code: CodeSpec, config: HarvestConfig,
+                 rngs: Iterable[np.random.Generator]) -> list[Optional[BitWord]]:
+    """impulse_trial on each stream in turn; a stream listed twice runs two
+    trials from it, one after the other.  A sweep's decodes each depend on
+    the one before, so it runs trial by trial; the other modes draw every
+    trial first and decode the whole block in one call, which consumes the
+    streams exactly as the trials one at a time would."""
     if config.impulse_mode == "single_impulse_sweep":
         return [impulse_trial(code, config, rng) for rng in rngs]
     sent, received = zip(*(_perturb(code, config, rng) for rng in rngs))
@@ -213,9 +215,10 @@ def harvest(code: CodeSpec, config: HarvestConfig) -> dict[int, WeightClassList]
     """
     raw: dict[int, set[int]] = {}
     d_est = code.d_known
-    blocks = (range(start, min(start + _BLOCK, config.trials))
+    blocks = ([np.random.default_rng([config.seed, trial])
+               for trial in range(start, min(start + _BLOCK, config.trials))]
               for start in range(0, config.trials, _BLOCK))
-    for c3 in (c3 for block in blocks for c3 in _trial_block(code, config, block)):
+    for c3 in (c3 for rngs in blocks for c3 in _trial_block(code, config, rngs)):
         if c3 is None:
             continue
         w = c3.weight()

@@ -1,6 +1,7 @@
 """MLD and ordered-statistics decoding."""
 
 import hashlib
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -324,6 +325,24 @@ def test_both_paths_apply_the_last_flip_mask(monkeypatch):
     assert (decode_batch(DecoderKind("osd", 3), code, received) == order0).all()
     for r, row in zip(received[:3], order0):
         assert osd_decode(code, r, 3).value == BitWord.from_bits(row.tolist()).value
+
+
+def test_osd_refuses_oversized_tables_before_allocating():
+    # osd:4 on BCH(255,191) would build a C(191, 3) x 191 float64 mask.
+    code = get_code("bch-255-191")
+    received = np.ones((1, code.n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="1,747 MB"):
+            decode_batch(DecoderKind("osd", 4), code, received)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    shortened = get_code("bch-130-66")
+    received = np.array(list(harvest_like(shortened, np.random.default_rng(43), 4)))
+    for row in decode_batch(DecoderKind("osd", 3), shortened, received):
+        assert contains(shortened, BitWord.from_bits(row.tolist()))
 
 
 @pytest.mark.parametrize("kind", [DecoderKind("mld"), DecoderKind("osd", 2)], ids=str)

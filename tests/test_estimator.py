@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
+from pwe import estimator, harvest
 from pwe.bounds import q_function
 from pwe.codes import codewords_of_weight, get_code
 from pwe.decoders import DecoderKind
@@ -18,7 +20,7 @@ from pwe.estimator import (
     sample_weight_w,
 )
 from pwe.gf2 import BitWord
-from pwe.harvest import HarvestConfig, WeightClassList
+from pwe.harvest import HarvestConfig, WeightClassList, cyclic_orbit, impulse_trial
 
 
 def full_list(code, w):
@@ -149,8 +151,118 @@ def test_impulse_sampler_draws_requested_weight():
     for _ in range(5):
         word = sample_weight_w(sampler, code, 8, rng)
         assert word.weight() == 8
-    with pytest.raises(SamplerError):
-        ImpulseSampler(code, cfg, budget=3).draw(23, rng)
+
+
+def mld_config(snr_grid_db=(0.0, 1.0, 2.0, 3.0)):
+    return HarvestConfig(decoder=DecoderKind("mld"), trials=0, seed=0, snr_grid_db=snr_grid_db)
+
+
+# At -4 dB about 8% of Golay trials find a weight-12 word and 72% a weight-8 one.
+NOISY = (-4.0,)
+
+
+def count_decoded_rows(monkeypatch) -> list[int]:
+    """Rows of every decode_batch call the sampler's trials make."""
+    rows = []
+    decode_batch = harvest.decode_batch
+
+    def counting(kind, code, received):
+        rows.append(len(received))
+        return decode_batch(kind, code, received)
+
+    monkeypatch.setattr(harvest, "decode_batch", counting)
+    return rows
+
+
+def test_impulse_sampler_uses_each_queued_find_once(monkeypatch):
+    code = get_code("golay-24-12")
+    rows = count_decoded_rows(monkeypatch)
+    trials = []  # the sampler's trials in the order they ran: a find or None
+    trial_block = estimator._trial_block
+
+    def recording(code, config, rngs):
+        finds = trial_block(code, config, rngs)
+        trials.extend(finds)
+        return finds
+
+    monkeypatch.setattr(estimator, "_trial_block", recording)
+    handed_out = []  # the find behind each draw
+    orbit = estimator.cyclic_orbit
+    monkeypatch.setattr(estimator, "cyclic_orbit",
+                        lambda code, word: handed_out.append(word) or orbit(code, word))
+
+    sampler = ImpulseSampler(code, mld_config(NOISY), budget=2000)
+    rng = np.random.default_rng(69)
+    for _ in range(20):
+        assert sample_weight_w(sampler, code, 8, rng).weight() == 8
+    stocked = [c for c in trials if c is not None and c.weight() == 12]
+    assert stocked, "the weight-8 refills found no weight-12 word"
+    decoded = sum(rows)
+    for _ in stocked:
+        assert sample_weight_w(sampler, code, 12, rng).weight() == 12
+    assert sum(rows) == decoded  # no trial ran: the queue served them all
+    assert all(a is b for a, b in zip(handed_out[20:], stocked, strict=True))
+    for _ in range(5):
+        sample_weight_w(sampler, code, 12, rng)
+    assert sum(rows) > decoded and sum(rows) == len(trials)
+
+    trial_of = {id(c): t for t, c in enumerate(trials) if c is not None}
+    used = [(trial_of[id(c)], c.value) for c in handed_out]
+    assert len(set(used)) == len(used)
+    assert [t for t, _ in used[:20]] == sorted(t for t, _ in used[:20])
+
+
+@pytest.mark.parametrize("budget", [3, 100])
+def test_impulse_sampler_runs_exactly_its_budget(monkeypatch, budget):
+    code = get_code("golay-24-12")
+    rows = count_decoded_rows(monkeypatch)
+    sampler = ImpulseSampler(code, mld_config(), budget=budget)
+    with pytest.raises(SamplerError, match=f"in {budget} trials"):
+        sampler.draw(23, np.random.default_rng(70))  # Golay has no weight-23 words
+    assert sum(rows) == budget
+    assert max(rows) <= estimator.REFILL_BLOCK
+
+
+def test_impulse_sampler_is_reproducible():
+    code = get_code("golay-24-12")
+    weights = (8, 12, 8, 8, 12, 12, 8)
+
+    def draws():
+        sampler = ImpulseSampler(code, mld_config(NOISY), budget=5000)
+        rng = np.random.default_rng(71)
+        return [sampler.draw(w, rng) for w in weights]
+
+    assert draws() == draws()
+
+
+def sequential_draw(code, config, w, rng, budget=5000):
+    """The sampler before it queued finds, as the reference: one trial at a
+    time until one yields weight w, every other find discarded."""
+    for _ in range(budget):
+        c3 = impulse_trial(code, config, rng)
+        if c3 is None or c3.weight() != w:
+            continue
+        orbit = sorted(cyclic_orbit(code, c3))
+        return orbit[int(rng.integers(len(orbit)))]
+    raise SamplerError(f"no weight-{w} codeword in {budget} trials")
+
+
+def test_impulse_sampler_draws_like_the_sequential_sampler():
+    # Two-sample chi-square test on the orbits of weight-7 draws.
+    code = get_code("qr-23-12")
+    config, draws = mld_config(), 1500
+
+    def orbit_id(value):
+        return min(cyclic_orbit(code, BitWord(code.n, value)))
+
+    rng = np.random.default_rng(72)
+    reference = [orbit_id(sequential_draw(code, config, 7, rng)) for _ in range(draws)]
+    sampler, rng = ImpulseSampler(code, config), np.random.default_rng(73)
+    streamed = [orbit_id(sampler.draw(7, rng)) for _ in range(draws)]
+    orbits = sorted(set(reference) | set(streamed))
+    table = [[sample.count(o) for o in orbits] for sample in (reference, streamed)]
+    assert len(orbits) == 11  # 253 weight-7 words in orbits of 23
+    assert chi2_contingency(table).pvalue > 0.01
 
 
 def test_sampler_code_binding():

@@ -72,16 +72,19 @@ def test_pwe_roundtrip(tmp_path):
 
     e8 = dataclasses.replace(interval_from_stats(700, 0.92, 0.01, 50), w=8)
     e12 = dataclasses.replace(interval_from_stats(2500, 0.97, 0.005, 50), w=12)
-    pwe = PartialWeightEnumerator("golay-24-12", (e8, e12))
+    failures = ((16, 'impulse sampler found no weight-16 codeword in 5000 trials, "quoted"'),)
+    pwe = PartialWeightEnumerator("golay-24-12", (e8, e12), failures)
     path = tmp_path / "pwe.csv"
     fileio.write_pwe(path, pwe, mu=0.99, M=10, q=50)
-    back = fileio.read_pwe(path)
-    assert back.code_name == "golay-24-12"
-    assert [e.w for e in back.entries] == [8, 12]
-    for orig, readback in zip(pwe.entries, back.entries):
-        assert readback.count_estimate == orig.count_estimate
-        assert readback.count_interval == orig.count_interval
-        assert readback.complete == orig.complete
+    assert fileio.read_pwe(path) == pwe
+
+
+def test_pwe_without_statistics_columns_is_refused(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_text("# code=golay-24-12 mu=0.99 M=10 q=50\n"
+                    "w,count_estimate,lower,upper,complete\n8,759,700,800,0\n")
+    with pytest.raises(ValueError, match="list_size, r_bar, sigma, beta, r_lo, r_hi"):
+        fileio.read_pwe(path)
 
 
 def test_curve_roundtrip(tmp_path):
