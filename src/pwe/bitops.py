@@ -27,3 +27,10 @@ def bits_to_int(bits: np.ndarray) -> int:
 def bpsk(bits: np.ndarray) -> np.ndarray:
     """BPSK image of a bit array: 0 -> +1, 1 -> -1."""
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+
+
+def bits_to_ints(bits: np.ndarray) -> list[int]:
+    """Inverse of ints_to_bits: the int of each LSB-first bit row."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    raw, size = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[at:at + size], "little") for at in range(0, len(raw), size)]

@@ -139,11 +139,16 @@ def extract_info(code: CodeSpec, word: BitWord) -> BitWord:
     return BitWord(code.k, info)
 
 
-def contains(code: CodeSpec, word: BitWord) -> bool:
-    """Parity-check membership test."""
-    if word.length != code.n:
-        raise ValueError(f"word length {word.length} != n = {code.n}")
-    return code.systematic.parity_check.syndrome(word.value) == 0
+def contains(code: CodeSpec, word: BitWord | int) -> bool:
+    """Parity-check membership test of a BitWord, or of an int holding the
+    n bits of a word."""
+    if isinstance(word, BitWord):
+        if word.length != code.n:
+            raise ValueError(f"word length {word.length} != n = {code.n}")
+        word = word.value
+    elif not 0 <= word < 1 << code.n:
+        raise ValueError(f"word {word:#x} does not fit in n = {code.n} bits")
+    return code.systematic.parity_check.syndrome(word) == 0
 
 
 def codeword_rows(code: CodeSpec, bits: np.ndarray) -> np.ndarray:

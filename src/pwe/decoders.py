@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitops import bits_to_int, int_to_bits, ints_to_bits
+from .bitops import bits_to_int, bits_to_ints, int_to_bits, ints_to_bits
 from .codes import CodeSpec, iter_codewords
 from .gf2 import BitWord, GF2Matrix, rref
 
@@ -112,14 +112,10 @@ _CHUNK_BYTES = 2 << 20
 def _eliminate_rows(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(R bits, pivot columns) of each B x k x n matrix, one gf2.rref each."""
     B, k, n = ranked.shape
-    packed = np.packbits(ranked, axis=2, bitorder="little").tobytes()
-    size = -(-n // 8)
     R_bits = np.empty_like(ranked)
     pivots = np.empty((B, k), dtype=np.intp)
     for b in range(B):
-        rows = tuple(int.from_bytes(packed[at:at + size], "little")
-                     for at in range(b * k * size, (b + 1) * k * size, size))
-        R, _, pivots[b] = rref(GF2Matrix(rows, n))
+        R, _, pivots[b] = rref(GF2Matrix(tuple(bits_to_ints(ranked[b])), n))
         R_bits[b] = ints_to_bits(R.rows, n)
     return R_bits, pivots
 
@@ -296,25 +292,19 @@ def decode_batch(kind: DecoderKind, code: CodeSpec, received) -> np.ndarray:
 
 
 def decode(kind: DecoderKind, code: CodeSpec, r) -> BitWord:
-    """Decode one soft vector with the selected decoder."""
-    if kind.variant == "mld":
-        return mld_decode(code, r)
-    return osd_decode(code, r, kind.order)
-
-
-def _decode_one(kind: DecoderKind, code: CodeSpec, r) -> BitWord:
+    """Decode one soft vector with the selected decoder: a block of one."""
     r = _validate_soft(code, r)
     return BitWord(code.n, bits_to_int(decode_batch(kind, code, r[np.newaxis])[0]))
 
 
 def mld_decode(code: CodeSpec, r) -> BitWord:
     """Exhaustive maximum-likelihood decoding of one soft vector (k <= MLD_MAX_K)."""
-    return _decode_one(DecoderKind("mld"), code, r)
+    return decode(DecoderKind("mld"), code, r)
 
 
 def osd_decode(code: CodeSpec, r, order: int) -> BitWord:
     """Ordered statistics decoding of one soft vector (see _osd_batch)."""
-    return _decode_one(DecoderKind("osd", order), code, r)
+    return decode(DecoderKind("osd", order), code, r)
 
 
 def euclidean_score(code: CodeSpec, word: BitWord, r) -> float:

@@ -7,9 +7,9 @@ interval from the normal approximation of the repetition means.
 
 For codes too large to enumerate, ImpulseSampler draws the words with the
 same error-impulse trials as the harvest, on streams of its own.  It is a
-stream of finds: it runs its trials in blocks of REFILL_BLOCK, decoded with
-one decode_batch call, queues every find under its weight and hands each
-find out once, so the trials of one weight's draws also serve the others.
+stream of finds: it draws and decodes its trials in blocks of REFILL_BLOCK,
+queues every find under its weight and hands each find out once, so the
+trials of one weight's draws also serve the others.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ class RecoveryEstimate:
     count_interval: tuple[int, int]
     count_estimate: int
     complete: bool
+    # The q per-repetition rates behind r_bar and sigma, when known.
+    rates: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,8 @@ class ImpulseSampler:
     ``draw(w, rng)`` takes the oldest weight-w find and returns a uniformly
     random member of its automorphism orbit, picked with ``rng``, which
     flattens the within-orbit distribution.  When the weight-w queue is
-    empty, the sampler refills: it runs REFILL_BLOCK impulse trials from
-    ``rng``, one after the other, decodes them with one decode_batch call
+    empty, the sampler refills: it draws REFILL_BLOCK impulse trials from
+    ``rng`` as arrays (see harvest._trial_block), decodes them in one call
     and queues every find under its weight, so the trials of a weight-27
     draw also stock the weight-28 draws.  No find is handed out twice.
 
@@ -147,7 +149,7 @@ class ImpulseSampler:
         self.code = code
         self.config = config
         self.budget = budget
-        self._finds: defaultdict[int, deque[BitWord]] = defaultdict(deque)
+        self._finds: defaultdict[int, deque[int]] = defaultdict(deque)
 
     def draw(self, w: int, rng: np.random.Generator) -> int:
         queue = self._finds[w]
@@ -157,9 +159,9 @@ class ImpulseSampler:
                 raise SamplerError(
                     f"impulse sampler found no weight-{w} codeword in {self.budget} trials")
             block = min(REFILL_BLOCK, self.budget - misses)
-            for c3 in _trial_block(self.code, self.config, [rng] * block):
-                if c3 is not None:
-                    self._finds[c3.weight()].append(c3)
+            for c3 in _trial_block(self.code, self.config, rng, block):
+                if c3:
+                    self._finds[c3.bit_count()].append(c3)
             misses += block
         orbit = sorted(cyclic_orbit(self.code, queue.popleft()))
         return orbit[int(rng.integers(len(orbit)))]
@@ -205,7 +207,8 @@ def estimate_recovery(
     rates = [recovery_rate_once(L_w, sampler, M, child) for child in rng.spawn(q)]
     r_bar = sum(rates) / q
     sigma = math.sqrt(sum((r_bar - rj) ** 2 for rj in rates) / (q - 1))
-    return replace(interval_from_stats(len(L_w), r_bar, sigma, q, mu, beta), w=L_w.w)
+    return replace(interval_from_stats(len(L_w), r_bar, sigma, q, mu, beta),
+                   w=L_w.w, rates=tuple(rates))
 
 
 def interval_from_stats(

@@ -101,10 +101,11 @@ def read_lists_dir(directory, code: CodeSpec) -> dict[int, WeightClassList]:
 
 # --- PWE tables ------------------------------------------------------------
 
-# Columns of a PWE table, in file order.  A float's str is its shortest
-# round-trip repr, so read_pwe restores every RecoveryEstimate exactly.
+# Columns of a PWE table, in file order; rates holds the per-repetition
+# rates separated by ";".  A float's str is its shortest round-trip repr,
+# so read_pwe restores every RecoveryEstimate exactly.
 PWE_COLUMNS = ("w", "count_estimate", "lower", "upper", "complete",
-               "list_size", "r_bar", "sigma", "beta", "r_lo", "r_hi")
+               "list_size", "r_bar", "sigma", "beta", "r_lo", "r_hi", "rates")
 _FAILURE = "# failure "
 
 
@@ -121,7 +122,7 @@ def write_pwe(path, pwe: PartialWeightEnumerator, mu: float, M: int, q: int):
             fh.write(
                 f"{e.w},{e.count_estimate},{e.count_interval[0]},{e.count_interval[1]},"
                 f"{int(e.complete)},{e.list_size},{e.r_bar},{e.sigma},{e.beta},"
-                f"{e.r_interval[0]},{e.r_interval[1]}\n"
+                f"{e.r_interval[0]},{e.r_interval[1]},{';'.join(map(str, e.rates))}\n"
             )
 
 
@@ -159,6 +160,7 @@ def read_pwe(path) -> PartialWeightEnumerator:
                     count_interval=(int(row["lower"]), int(row["upper"])),
                     count_estimate=int(row["count_estimate"]),
                     complete=bool(int(row["complete"])),
+                    rates=tuple(float(r) for r in row["rates"].split(";") if r),
                 )
             )
     return PartialWeightEnumerator(fields.get("code", "?"), tuple(entries), tuple(failures))

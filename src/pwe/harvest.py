@@ -2,20 +2,24 @@
 
 A trial transmits a codeword, perturbs its BPSK image, decodes, and keeps
 the XOR of the transmitted and decoded words when they differ — a codeword
-of (usually) small weight.  Finds are multiplied through the code's cyclic
-automorphisms and deduplicated into per-weight lists.
+of (usually) small weight.  Trials are drawn and decoded in blocks; finds
+are multiplied through the code's cyclic automorphisms and deduplicated
+into per-weight lists.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .bitops import bpsk, int_to_bits
-from .codes import CodeSpec, contains, encode
-from .decoders import DecoderKind, decode, decode_batch
+from .bitops import bits_to_ints, bpsk
+from .codes import CodeSpec, contains
+# encode is not called here; bench/spans.py traces it at this site.
+from .codes import encode  # noqa: F401
+from .decoders import DecoderKind, decode_batch
 from .gf2 import BitWord
 from .sim import noise_sigma
 
@@ -23,7 +27,6 @@ __all__ = [
     "HarvestConfig",
     "WeightClassList",
     "impulse_trial",
-    "expand_by_automorphisms",
     "harvest",
 ]
 
@@ -63,6 +66,11 @@ class HarvestConfig:
             lo, hi = self.weight_window
             if lo < 1 or hi < lo:
                 raise ValueError("weight window must satisfy 1 <= w_min <= w_max")
+        if len(self.snr_grid_db) == 0 or not all(map(math.isfinite, self.snr_grid_db)):
+            raise ValueError("snr_grid_db must hold at least one value, all finite")
+        amp = self.impulse_amplitude
+        if amp is not None and not (math.isfinite(amp) and amp > 0):
+            raise ValueError("impulse_amplitude must be finite and positive")
 
 
 @dataclass
@@ -104,84 +112,76 @@ class WeightClassList:
         return [BitWord(self.code.n, v) for v in sorted(self._members)]
 
 
-def _draw_transmit(code: CodeSpec, mode: str, rng: np.random.Generator) -> BitWord:
-    if mode == "all_zero":
-        return BitWord(code.n, 0)
-    bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-    info = BitWord(code.k, int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
-    return encode(code, info)
+def _trial_block(code: CodeSpec, config: HarvestConfig, rng: np.random.Generator,
+                 size: int, keep: Optional[int] = None) -> list[int]:
+    """The finds of a block of ``size`` trials drawn from ``rng`` as whole
+    arrays: for each of the first ``keep`` (default: all), the XOR of the
+    sent and the decoded word as an int, 0 where they agree.
+
+    The arrays are drawn in this order: the information bits (size x k;
+    random_codeword only), then for single_impulse_sweep the impulse
+    positions, and for the other modes the indices into snr_grid_db, the
+    standard normal noise (size x n) and, for noisy_impulse, the impulse
+    positions.  All ``size`` trials are drawn whatever ``keep`` is, so the
+    first trials of a block do not depend on how many are kept.
+    """
+    if config.transmit_mode == "all_zero":
+        sent = np.zeros((size, code.n), dtype=np.uint8)
+    else:
+        info = rng.integers(0, 2, size=(size, code.k), dtype=np.uint8)
+        sent = (info @ code.systematic.generator_bits) & 1
+    tx = bpsk(sent)
+    if config.impulse_mode == "single_impulse_sweep":
+        pos = rng.integers(code.n, size=size)
+        decoded = _sweep(code, config, sent[:keep], tx[:keep], pos[:keep])
+    else:
+        sigma = np.array([noise_sigma(db, code.rate) for db in config.snr_grid_db])
+        snr = rng.integers(len(sigma), size=size)
+        received = tx + sigma[snr, np.newaxis] * rng.normal(size=(size, code.n))
+        if config.impulse_mode == "noisy_impulse":
+            amplitude = config.impulse_amplitude or (
+                code.n / 4.0 if code.d_known is None else float(code.d_known - 1))
+            rows, pos = np.arange(size), rng.integers(code.n, size=size)
+            received[rows, pos] -= amplitude * tx[rows, pos]
+        decoded = decode_batch(config.decoder, code, received[:keep])
+    return bits_to_ints(sent[:keep] ^ decoded)
 
 
-def _impulse_amplitude(code: CodeSpec, config: HarvestConfig) -> float:
-    if config.impulse_amplitude is not None:
-        return config.impulse_amplitude
-    if code.d_known is not None:
-        return float(code.d_known - 1)
-    return code.n / 4.0
-
-
-def _perturb(code: CodeSpec, config: HarvestConfig,
-             rng: np.random.Generator) -> tuple[BitWord, np.ndarray]:
-    """The sent codeword and the received vector of a gaussian_noise or
-    noisy_impulse trial."""
-    c1 = _draw_transmit(code, config.transmit_mode, rng)
-    tx = bpsk(int_to_bits(c1.value, code.n))
-    snr = float(rng.choice(np.asarray(config.snr_grid_db, dtype=np.float64)))
-    r = tx + noise_sigma(snr, code.rate) * rng.normal(size=code.n)
-    if config.impulse_mode == "noisy_impulse":
-        pos = int(rng.integers(code.n))
-        r[pos] -= _impulse_amplitude(code, config) * np.sign(tx[pos])
-    return c1, r
+def _sweep(code: CodeSpec, config: HarvestConfig, sent: np.ndarray, tx: np.ndarray,
+           pos: np.ndarray) -> np.ndarray:
+    """Decoded words of single_impulse_sweep trials: each row's coordinate
+    pos is pushed toward the opposite sign, by 1, 1.5, 2, ... up to d + 2
+    (n + 2 if d is unknown), until the decision leaves the sent word.  The
+    rows run in lockstep, each step decoding the rows still undecided in
+    one call; a row that never leaves decodes to its sent word."""
+    decoded = sent.copy()
+    live = np.arange(len(sent))
+    cap = float((code.d_known or code.n) + 2)
+    amp = 1.0
+    while amp <= cap and len(live):
+        r = tx[live]
+        at = (np.arange(len(live)), pos[live])
+        r[at] = r[at] - amp * r[at]
+        out = decode_batch(config.decoder, code, r)
+        moved = np.any(out != sent[live], axis=1)
+        decoded[live[moved]] = out[moved]
+        live = live[~moved]
+        amp += 0.5
+    return decoded
 
 
 def impulse_trial(
     code: CodeSpec, config: HarvestConfig, rng: np.random.Generator
 ) -> Optional[BitWord]:
-    """One perturb-and-decode trial; returns the difference codeword or None."""
-    if config.impulse_mode != "single_impulse_sweep":
-        c1, r = _perturb(code, config, rng)
-        c2 = decode(config.decoder, code, r)
-    else:
-        c1 = _draw_transmit(code, config.transmit_mode, rng)
-        tx = bpsk(int_to_bits(c1.value, code.n))
-        pos = int(rng.integers(code.n))
-        cap = float((code.d_known or code.n) + 2)
-        c2 = c1
-        amp = 1.0
-        while amp <= cap:
-            r = tx.copy()
-            r[pos] = tx[pos] - amp * np.sign(tx[pos])
-            c2 = decode(config.decoder, code, r)
-            if c2 != c1:
-                break
-            amp += 0.5
-
-    if c2 == c1:
-        return None
-    return c1 ^ c2
+    """One perturb-and-decode trial, a block of one (see _trial_block);
+    returns the difference codeword or None."""
+    c3 = _trial_block(code, config, rng, 1)[0]
+    return BitWord(code.n, c3) if c3 else None
 
 
-def _trial_block(code: CodeSpec, config: HarvestConfig,
-                 rngs: Iterable[np.random.Generator]) -> list[Optional[BitWord]]:
-    """impulse_trial on each stream in turn; a stream listed twice runs two
-    trials from it, one after the other.  A sweep's decodes each depend on
-    the one before, so it runs trial by trial; the other modes draw every
-    trial first and decode the whole block in one call, which consumes the
-    streams exactly as the trials one at a time would."""
-    if config.impulse_mode == "single_impulse_sweep":
-        return [impulse_trial(code, config, rng) for rng in rngs]
-    sent, received = zip(*(_perturb(code, config, rng) for rng in rngs))
-    decoded = np.packbits(decode_batch(config.decoder, code, np.array(received)),
-                          axis=1, bitorder="little")
-    finds = []
-    for c1, row in zip(sent, decoded):
-        diff = c1.value ^ int.from_bytes(row.tobytes(), "little")
-        finds.append(BitWord(code.n, diff) if diff else None)
-    return finds
-
-
-def cyclic_orbit(code: CodeSpec, word: BitWord) -> set[int]:
-    """Automorphism orbit of a word under the available cyclic structure.
+def cyclic_orbit(code: CodeSpec, word: int) -> set[int]:
+    """Automorphism orbit of a word, given as an int, under the available
+    cyclic structure.
 
     A cyclic code rotates its words in length n.  A shortened code rotates
     them in its parent's length and keeps the rotations below 2^n: its
@@ -189,57 +189,46 @@ def cyclic_orbit(code: CodeSpec, word: BitWord) -> set[int]:
     Any other code: the word alone.
     """
     if not code.is_cyclic and code.parent is None:
-        return {word.value}
+        return {word}
     length = code.n if code.parent is None else code.parent.n
     mask = (1 << length) - 1
     limit = 1 << code.n
     # Bits s .. s + length - 1 of the doubled word are its rotation by -s.
-    doubled = word.value | (word.value << length)
+    doubled = word | (word << length)
     return {rot for s in range(length) if (rot := (doubled >> s) & mask) < limit}
-
-
-def expand_by_automorphisms(code: CodeSpec, word: BitWord) -> set[BitWord]:
-    """All automorphism images of a code member (see cyclic_orbit)."""
-    if not contains(code, word):
-        raise ValueError("cannot expand a word that is not a code member")
-    return {BitWord(code.n, v) for v in cyclic_orbit(code, word)}
 
 
 def harvest(code: CodeSpec, config: HarvestConfig) -> dict[int, WeightClassList]:
     """Run impulse trials and collect per-weight lists of found codewords.
 
-    Per-trial random streams are derived from (seed, trial index), so the
-    result is reproducible and grows monotonically with the trial budget.
-    Trials are decoded in blocks of up to _BLOCK and their finds taken in
-    trial order.
+    Trials run in blocks of _BLOCK: block b is drawn in full from
+    default_rng([seed, b]) (see _trial_block) and the last block keeps the
+    prefix the trial budget asks for.  A harvest of T trials is therefore
+    reproducible and a prefix of any longer harvest with the same seed:
+    at each weight both keep, its list is a subset of the longer one's.
+    Finds are taken in trial order.
     """
     raw: dict[int, set[int]] = {}
     d_est = code.d_known
-    blocks = ([np.random.default_rng([config.seed, trial])
-               for trial in range(start, min(start + _BLOCK, config.trials))]
-              for start in range(0, config.trials, _BLOCK))
-    for c3 in (c3 for rngs in blocks for c3 in _trial_block(code, config, rngs)):
-        if c3 is None:
-            continue
-        w = c3.weight()
-        if d_est is None or w < d_est:
-            d_est = w
-        if config.weight_window is not None:
-            lo, hi = config.weight_window
-        else:
-            lo, hi = d_est, d_est + 5
-        if not lo <= w <= hi:
-            continue
-        # The one membership check of a find: automorphisms map codewords
-        # to codewords of the same weight, so its orbit needs none.
-        if not contains(code, c3):
-            raise ValueError(f"decoder {config.decoder} returned a non-codeword")
-        raw.setdefault(w, set()).update(cyclic_orbit(code, c3))
-
-    if config.weight_window is not None:
-        lo, hi = config.weight_window
-    else:
-        lo, hi = (d_est, d_est + 5) if d_est is not None else (1, 0)
+    # The window of the last find; d_est changes only at finds, so after
+    # the loop it is the final window whenever raw holds anything.
+    lo, hi = 1, 0
+    for start in range(0, config.trials, _BLOCK):
+        rng = np.random.default_rng([config.seed, start // _BLOCK])
+        for c3 in _trial_block(code, config, rng, _BLOCK, min(_BLOCK, config.trials - start)):
+            if not c3:
+                continue
+            w = c3.bit_count()
+            if d_est is None or w < d_est:
+                d_est = w
+            lo, hi = config.weight_window or (d_est, d_est + 5)
+            if not lo <= w <= hi:
+                continue
+            # The one membership check of a find: automorphisms map codewords
+            # to codewords of the same weight, so its orbit needs none.
+            if not contains(code, c3):
+                raise ValueError(f"decoder {config.decoder} returned a non-codeword")
+            raw.setdefault(w, set()).update(cyclic_orbit(code, c3))
     return {w: WeightClassList(code, w, raw[w]) for w in sorted(raw) if lo <= w <= hi}
 
 

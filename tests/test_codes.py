@@ -75,6 +75,10 @@ def test_membership_rejects_non_codewords():
     members = set(iter_codewords(code))
     for value in range(2**7):
         assert contains(code, BitWord(7, value)) == (value in members)
+        assert contains(code, value) == (value in members)
+    for bad in (BitWord(8, 0), 1 << 7, -1):
+        with pytest.raises(ValueError):
+            contains(code, bad)
 
 
 def test_gray_enumeration_matches_naive():

@@ -1,5 +1,8 @@
 """Monte Carlo recovery-rate estimation."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
@@ -93,6 +96,12 @@ def test_estimate_invariants():
     assert 0 < est.r_interval[0] <= est.r_bar <= est.r_interval[1] <= 1
     assert est.count_interval[0] <= est.count_estimate <= est.count_interval[1]
     assert not est.complete
+    # The stored per-repetition rates recompute the estimate offline.
+    assert len(est.rates) == est.q
+    r_bar = sum(est.rates) / est.q
+    sigma = math.sqrt(sum((r_bar - r) ** 2 for r in est.rates) / (est.q - 1))
+    offline = interval_from_stats(est.list_size, r_bar, sigma, est.q, est.mu)
+    assert dataclasses.replace(offline, w=est.w, rates=est.rates) == est
     with pytest.raises(ValueError):
         estimate_recovery(full_list(code, 8), ExactUniformSampler(code),
                           M=10, q=1, mu=0.99, rng=np.random.default_rng(0))
@@ -177,11 +186,11 @@ def count_decoded_rows(monkeypatch) -> list[int]:
 def test_impulse_sampler_uses_each_queued_find_once(monkeypatch):
     code = get_code("golay-24-12")
     rows = count_decoded_rows(monkeypatch)
-    trials = []  # the sampler's trials in the order they ran: a find or None
+    trials = []  # the sampler's trials in the order they ran: a find or 0
     trial_block = estimator._trial_block
 
-    def recording(code, config, rngs):
-        finds = trial_block(code, config, rngs)
+    def recording(code, config, rng, size, keep=None):
+        finds = trial_block(code, config, rng, size, keep)
         trials.extend(finds)
         return finds
 
@@ -195,7 +204,7 @@ def test_impulse_sampler_uses_each_queued_find_once(monkeypatch):
     rng = np.random.default_rng(69)
     for _ in range(20):
         assert sample_weight_w(sampler, code, 8, rng).weight() == 8
-    stocked = [c for c in trials if c is not None and c.weight() == 12]
+    stocked = [c for c in trials if c and c.bit_count() == 12]
     assert stocked, "the weight-8 refills found no weight-12 word"
     decoded = sum(rows)
     for _ in stocked:
@@ -206,8 +215,8 @@ def test_impulse_sampler_uses_each_queued_find_once(monkeypatch):
         sample_weight_w(sampler, code, 12, rng)
     assert sum(rows) > decoded and sum(rows) == len(trials)
 
-    trial_of = {id(c): t for t, c in enumerate(trials) if c is not None}
-    used = [(trial_of[id(c)], c.value) for c in handed_out]
+    trial_of = {id(c): t for t, c in enumerate(trials) if c}
+    used = [(trial_of[id(c)], c) for c in handed_out]
     assert len(set(used)) == len(used)
     assert [t for t, _ in used[:20]] == sorted(t for t, _ in used[:20])
 
@@ -242,7 +251,7 @@ def sequential_draw(code, config, w, rng, budget=5000):
         c3 = impulse_trial(code, config, rng)
         if c3 is None or c3.weight() != w:
             continue
-        orbit = sorted(cyclic_orbit(code, c3))
+        orbit = sorted(cyclic_orbit(code, c3.value))
         return orbit[int(rng.integers(len(orbit)))]
     raise SamplerError(f"no weight-{w} codeword in {budget} trials")
 
@@ -253,7 +262,7 @@ def test_impulse_sampler_draws_like_the_sequential_sampler():
     config, draws = mld_config(), 1500
 
     def orbit_id(value):
-        return min(cyclic_orbit(code, BitWord(code.n, value)))
+        return min(cyclic_orbit(code, value))
 
     rng = np.random.default_rng(72)
     reference = [orbit_id(sequential_draw(code, config, 7, rng)) for _ in range(draws)]

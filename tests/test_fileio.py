@@ -70,13 +70,16 @@ def test_lists_dir_roundtrip(tmp_path):
 def test_pwe_roundtrip(tmp_path):
     import dataclasses
 
-    e8 = dataclasses.replace(interval_from_stats(700, 0.92, 0.01, 50), w=8)
+    e8 = dataclasses.replace(interval_from_stats(700, 0.92, 0.01, 50), w=8,
+                             rates=(10 / 11, 10 / 13, 1.0, 0.1 + 0.2))
     e12 = dataclasses.replace(interval_from_stats(2500, 0.97, 0.005, 50), w=12)
     failures = ((16, 'impulse sampler found no weight-16 codeword in 5000 trials, "quoted"'),)
     pwe = PartialWeightEnumerator("golay-24-12", (e8, e12), failures)
     path = tmp_path / "pwe.csv"
     fileio.write_pwe(path, pwe, mu=0.99, M=10, q=50)
-    assert fileio.read_pwe(path) == pwe
+    back = fileio.read_pwe(path)
+    assert back == pwe
+    assert [e.rates for e in back.entries] == [e8.rates, ()]
 
 
 def test_pwe_without_statistics_columns_is_refused(tmp_path):

@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
+from pwe.bitops import bpsk, int_to_bits
 from pwe.codes import catalog, codewords_of_weight, contains, encode, get_code
-from pwe.decoders import DecoderKind
+from pwe.decoders import DecoderKind, decode, parse_decoder
 from pwe.gf2 import BitWord
 from pwe.harvest import (
     HarvestConfig,
     WeightClassList,
+    _trial_block,
     cyclic_orbit,
-    expand_by_automorphisms,
     harvest,
     impulse_trial,
     merge_lists,
 )
+from pwe.sim import noise_sigma
 
 
 def mld_cfg(trials, seed, **kw):
@@ -30,6 +32,12 @@ def test_config_validation():
         mld_cfg(1, 0, impulse_mode="burst")
     with pytest.raises(ValueError):
         mld_cfg(1, 0, weight_window=(5, 3))
+    for grid in [(), (1.0, float("nan")), (float("inf"),)]:
+        with pytest.raises(ValueError, match="snr_grid_db"):
+            mld_cfg(1, 0, snr_grid_db=grid)
+    for amplitude in [float("nan"), float("inf"), 0.0, -1.0]:
+        with pytest.raises(ValueError, match="impulse_amplitude"):
+            mld_cfg(1, 0, impulse_mode="noisy_impulse", impulse_amplitude=amplitude)
 
 
 def test_weight_class_list_validates_members():
@@ -66,12 +74,13 @@ def test_impulse_trial_yields_codeword_difference_or_none():
 def test_cyclic_orbit_closure_and_size():
     code = get_code("qr-23-12")
     word = BitWord(23, codewords_of_weight(code, 7)[0])
-    orbit = expand_by_automorphisms(code, word)
-    assert word in orbit
-    assert 1 <= len(orbit) <= code.n
+    orbit = cyclic_orbit(code, word.value)
+    assert word.value in orbit
+    assert len(orbit) == code.n  # 23 is prime: no weight-7 word is shift-invariant
     for image in orbit:
         assert contains(code, image)
-        assert image.weight() == 7
+        assert image.bit_count() == 7
+    assert all(cyclic_orbit(code, image) == orbit for image in orbit)
 
 
 @pytest.mark.parametrize("name", sorted(catalog()))
@@ -81,9 +90,9 @@ def test_shortened_orbit_stays_in_code(name):
     for _ in range(10):
         bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
         word = encode(code, BitWord.from_bits(bits.tolist()))
-        for image in expand_by_automorphisms(code, word):
+        for image in cyclic_orbit(code, word.value):
             assert contains(code, image)
-            assert image.weight() == word.weight()
+            assert image.bit_count() == word.weight()
 
 
 def lift_rotate_project_orbit(code, word: BitWord) -> set[int]:
@@ -110,23 +119,17 @@ def test_shortened_orbit_matches_lift_rotate_project(name):
     for _ in range(10):
         bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
         word = encode(code, BitWord.from_bits(bits.tolist()))
-        assert cyclic_orbit(code, word) == lift_rotate_project_orbit(code, word)
+        assert cyclic_orbit(code, word.value) == lift_rotate_project_orbit(code, word)
     low = BitWord(code.n, code.generator_matrix.rows[0])  # g(x): many images
-    orbit = cyclic_orbit(code, low)
+    orbit = cyclic_orbit(code, low.value)
     assert len(orbit) > 1
     assert orbit == lift_rotate_project_orbit(code, low)
-
-
-def test_expand_rejects_non_members():
-    code = get_code("qr-23-12")
-    with pytest.raises(ValueError):
-        expand_by_automorphisms(code, BitWord(23, 0b101))
 
 
 def test_non_cyclic_orbit_is_singleton():
     code = get_code("golay-24-12")  # extended, not cyclic, no parent link
     word = BitWord(24, codewords_of_weight(code, 8)[0])
-    assert cyclic_orbit(code, word) == {word.value}
+    assert cyclic_orbit(code, word.value) == {word.value}
 
 
 def test_harvest_determinism_and_monotonicity():
@@ -138,6 +141,95 @@ def test_harvest_determinism_and_monotonicity():
     big = harvest(code, mld_cfg(300, 53))
     for w, lst in small.items():
         assert lst.values() <= big[w].values()
+
+
+@pytest.mark.parametrize("mode", ["gaussian_noise", "single_impulse_sweep", "noisy_impulse"])
+def test_harvest_is_a_prefix_of_longer_harvests(mode):
+    # 700 and 1300 trials end inside blocks 1 and 2 of 512.
+    code = get_code("golay-24-12")
+    short = harvest(code, mld_cfg(700, 59, impulse_mode=mode))
+    longer = harvest(code, mld_cfg(1300, 59, impulse_mode=mode))
+    assert set(short) & set(longer)
+    for w, lst in longer.items():
+        if w in short:
+            assert short[w].values() <= lst.values()
+    assert sum(map(len, longer.values())) > sum(map(len, short.values()))
+    cfg = mld_cfg(0, 0, impulse_mode=mode)
+    full = _trial_block(code, cfg, np.random.default_rng(60), 512)
+    assert _trial_block(code, cfg, np.random.default_rng(60), 512, 100) == full[:100]
+
+
+def sequential_sweep(code, config, c1: BitWord, pos: int) -> BitWord:
+    """single_impulse_sweep one trial at a time, as the reference: push
+    coordinate pos toward the opposite sign by 1, 1.5, ... up to d + 2 and
+    decode after each step, until the decision leaves the sent word."""
+    tx = bpsk(int_to_bits(c1.value, code.n))
+    cap = float((code.d_known or code.n) + 2)
+    c2, amp = c1, 1.0
+    while amp <= cap:
+        r = tx.copy()
+        r[pos] = tx[pos] - amp * np.sign(tx[pos])
+        c2 = decode(config.decoder, code, r)
+        if c2 != c1:
+            break
+        amp += 0.5
+    return c2
+
+
+def reference_trials(code, config, rng, size) -> list[int]:
+    """The trials of _trial_block built row by row from the same draws:
+    encode, BPSK, noise, impulse, decode, XOR."""
+    if config.transmit_mode == "all_zero":
+        sent = [BitWord(code.n, 0)] * size
+    else:
+        info = rng.integers(0, 2, size=(size, code.k), dtype=np.uint8)
+        sent = [encode(code, BitWord.from_bits(row.tolist())) for row in info]
+    if config.impulse_mode == "single_impulse_sweep":
+        pos = rng.integers(code.n, size=size)
+        return [(c1 ^ sequential_sweep(code, config, c1, int(p))).value
+                for c1, p in zip(sent, pos)]
+    snr = rng.integers(len(config.snr_grid_db), size=size)
+    noise = rng.normal(size=(size, code.n))
+    if config.impulse_mode == "noisy_impulse":
+        pos = rng.integers(code.n, size=size)
+        amplitude = config.impulse_amplitude or code.d_known - 1
+    finds = []
+    for t, c1 in enumerate(sent):
+        tx = bpsk(int_to_bits(c1.value, code.n))
+        r = tx + noise_sigma(config.snr_grid_db[snr[t]], code.rate) * noise[t]
+        if config.impulse_mode == "noisy_impulse":
+            r[pos[t]] -= amplitude * np.sign(tx[pos[t]])
+        finds.append((c1 ^ decode(config.decoder, code, r)).value)
+    return finds
+
+
+TRIAL_CASES = [("golay-24-12", "mld"), ("bch-63-39", "osd:2")]
+
+
+@pytest.mark.parametrize("name,decoder", TRIAL_CASES)
+@pytest.mark.parametrize("transmit", ["random_codeword", "all_zero"])
+@pytest.mark.parametrize("mode,amplitude", [("gaussian_noise", None),
+                                            ("noisy_impulse", None),
+                                            ("noisy_impulse", 2.5)])
+def test_trial_block_matches_the_row_by_row_reference(name, decoder, transmit, mode, amplitude):
+    code = get_code(name)
+    cfg = HarvestConfig(decoder=parse_decoder(decoder), trials=0, seed=0,
+                        snr_grid_db=(-1.0, 1.0, 3.0), transmit_mode=transmit,
+                        impulse_mode=mode, impulse_amplitude=amplitude)
+    block = _trial_block(code, cfg, np.random.default_rng(61), 40)
+    assert block == reference_trials(code, cfg, np.random.default_rng(61), 40)
+    assert any(block)
+
+
+@pytest.mark.parametrize("name,decoder", TRIAL_CASES)
+@pytest.mark.parametrize("transmit", ["random_codeword", "all_zero"])
+def test_lockstep_sweep_matches_the_sequential_sweep(name, decoder, transmit):
+    code = get_code(name)
+    cfg = HarvestConfig(decoder=parse_decoder(decoder), trials=0, seed=0,
+                        transmit_mode=transmit, impulse_mode="single_impulse_sweep")
+    block = _trial_block(code, cfg, np.random.default_rng(62), 40)
+    assert block == reference_trials(code, cfg, np.random.default_rng(62), 40)
+    assert any(block)
 
 
 def test_harvest_respects_weight_window():
