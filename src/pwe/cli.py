@@ -43,6 +43,8 @@ def _resolve_code(spec: str) -> CodeSpec:
 def parse_snr_grid(text: str) -> list[float]:
     """LO:HI:STEP, inclusive of both ends when STEP divides the range."""
     parts = text.split(":")
+    if not text.strip():
+        raise ValueError("empty SNR grid; expected LO:HI:STEP")
     if len(parts) == 1:
         return [float(parts[0])]
     if len(parts) != 3:
@@ -103,7 +105,7 @@ def _harvest_config(args, seed: int) -> HarvestConfig:
         decoder=parse_decoder(args.decoder),
         trials=args.trials,
         seed=seed,
-        snr_grid_db=tuple(parse_snr_grid(args.snr)) if args.snr else (0.0, 1.0, 2.0, 3.0),
+        snr_grid_db=tuple(parse_snr_grid("0:3:1" if args.snr is None else args.snr)),
         weight_window=window,
         transmit_mode=args.transmit_mode,
         impulse_mode=args.impulse_mode,
@@ -151,7 +153,7 @@ def cmd_estimate(args) -> int:
                 decoder=parse_decoder(args.decoder),
                 trials=0,
                 seed=0,
-                snr_grid_db=tuple(parse_snr_grid(args.snr)) if args.snr else (4.0, 5.0, 6.0),
+                snr_grid_db=tuple(parse_snr_grid("4:6:1" if args.snr is None else args.snr)),
                 impulse_mode=args.impulse_mode,
                 impulse_amplitude=args.impulse_amplitude,
             ),

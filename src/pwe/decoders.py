@@ -83,19 +83,12 @@ def _pattern_indices(k: int, t: int) -> np.ndarray:
     return np.array(patterns, dtype=np.intp).reshape(len(patterns), t)
 
 
-@functools.lru_cache(maxsize=32)
-def _last_flip_mask(k: int, t: int) -> np.ndarray:
-    """+inf where position l cannot extend the weight-(t-1) prefix p (l <= max p), else 0."""
-    last = _pattern_indices(k, t - 1).max(axis=1, initial=-1)
-    mask = np.where(np.arange(k)[np.newaxis, :] <= last[:, np.newaxis], np.inf, 0.0)
-    mask.flags.writeable = False
-    return mask
-
-
 # Largest reprocessing table OSD may hold, in bytes, as MLD_MAX_K caps the
-# codebook: order t builds the C(k, t-1) x k float64 _last_flip_mask, and
-# each row's order-t scores are as large.
+# codebook: 8·k·C(k, t-1) exceeds the float64 scores of all C(k, t) order-t
+# patterns of one row, and so bounds each group of them (see _bands).
 OSD_MAX_TABLE_BYTES = 1 << 28
+# Bands join groups until one product scores this many entries for the block.
+_BAND_SCORES = 4096
 
 
 # Blocks smaller than this are eliminated row by row with gf2.rref.  The
@@ -160,35 +153,83 @@ def _eliminate_block(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unpackbits(R, axis=2, count=n, bitorder="little"), pivots
 
 
+@functools.lru_cache(maxsize=64)
+def _bands(k: int, t: int, B: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """Order-t groups (t >= 2, see _osd_batch) in bands, for a block of B rows.
+
+    Band m0 <= m < m1 scores its groups with one product: rows the heads
+    below m1 - 1 by its m, columns the l > m0, +inf where that is no pattern
+    (a head reaching m, or l <= m).  A band takes groups until its scores for
+    the block reach _BAND_SCORES.  Returns the bands (m0, m1, heads, then row
+    and column masks, None for one group), heads indexing _pattern_indices(k,
+    t - 2); each band's (m0, m1, offset) into the third item; all bands' heads."""
+    every = _pattern_indices(k, t - 2)
+    last = every.max(axis=1, initial=-1)
+    bands, table, ids, m0 = [], [], [], t - 2
+    for m1 in range(t - 1, k):
+        heads = np.flatnonzero(last < m1 - 1)
+        if B * len(heads) * (m1 - m0) * (k - 1 - m0) < _BAND_SCORES and m1 < k - 1:
+            continue
+        m = np.arange(m0, m1)
+        masks = (np.where(last[heads, np.newaxis] >= m, np.inf, 0.0),
+                 np.where(np.arange(m0 + 1, k) <= m[:, np.newaxis], np.inf, 0.0))
+        bands.append((m0, m1, slice(0, len(heads)) if t < 4 else heads,
+                      *(masks if m1 > m0 + 1 else (None, None))))
+        table.append((m0, m1, len(ids)))
+        ids += heads.tolist()
+        m0 = m1
+    return tuple(bands), np.array(table), every[ids]
+
+
 def _best_patterns(sigma: np.ndarray, red_weight: np.ndarray, flip_gain: np.ndarray,
                    order: int) -> tuple[np.ndarray, np.ndarray]:
     """The winning flip pattern of each row (see _osd_batch): its weight t,
-    0 for none, and its flat index p·k + l into the order-t scores."""
-    B, k, _ = sigma.shape
-    rows = np.arange(B)
-    lows, picks = [red_weight.sum(axis=1)], [np.zeros(B, dtype=np.intp)]
-    # Row j of first is red_weight·sigma_j, the product of a prefix's first factor.
-    first = red_weight[:, np.newaxis, :] * sigma if order > 1 else None
+    0 for none, and its positions, the first t entries of a B x order array."""
+    B, k, K = sigma.shape
+    rows, best = np.arange(B), red_weight.sum(axis=1)
+    won_t, won = np.zeros(B, dtype=np.intp), np.zeros((B, order), dtype=np.intp)
     for t in range(1, order + 1):
-        prefixes = _pattern_indices(k, t - 1)
         if t == 1:
-            scored = red_weight[:, np.newaxis, :]
+            scores = (red_weight[:, np.newaxis, :] @ sigma.transpose(0, 2, 1))[:, 0] + flip_gain
+            low, pattern = scores.min(axis=1), scores.argmin(axis=1)[:, np.newaxis]
         else:
-            scored = np.take(first, prefixes[:, 0], axis=1)
-        for col in prefixes.T[1:]:
-            scored *= np.take(sigma, col, axis=1)
-        scores = scored @ sigma.transpose(0, 2, 1)
-        scores += flip_gain[:, np.newaxis, :]
-        if t > 1:
-            scores += flip_gain[:, prefixes].sum(axis=2)[:, :, np.newaxis]
-        scores += _last_flip_mask(k, t)
-        scores = scores.reshape(B, -1)
-        picks.append(scores.argmin(axis=1))
-        lows.append(scores[rows, picks[-1]])
-    # A later order replaces the best only if strictly lower: the first
-    # order reaching the least score wins.
-    best_t = np.argmin(lows, axis=0)
-    return best_t, np.array(picks)[best_t, rows]
+            every = _pattern_indices(k, t - 2)
+            # Row h is red_weight·prod_{j in head h} sigma_j.
+            products = red_weight[:, np.newaxis, :] * sigma[:, every].prod(axis=2)
+            head_gain = flip_gain[:, every].sum(axis=2)
+            bands, table, band_heads = _bands(k, t, B)
+            lows, picks = np.empty((B, len(bands))), np.empty((B, len(bands)), dtype=np.intp)
+            for g, (m0, m1, heads, row_mask, col_mask) in enumerate(bands):
+                # sigma_m multiplies the smaller side: rows (h, m) or columns (m, l).
+                left, right = products[:, heads, np.newaxis, :], sigma[:, np.newaxis, m0 + 1:, :]
+                if left.shape[1] <= right.shape[2]:
+                    left = left * sigma[:, np.newaxis, m0:m1, :]
+                else:
+                    right = right * sigma[:, m0:m1, np.newaxis, :]
+                scores = left.reshape(B, -1, K) @ right.reshape(B, -1, K).transpose(0, 2, 1)
+                scores = scores.reshape(B, -1, m1 - m0, k - 1 - m0)
+                scores += flip_gain[:, np.newaxis, np.newaxis, m0 + 1:]
+                gains = head_gain[:, heads, np.newaxis] + flip_gain[:, np.newaxis, m0:m1]
+                if row_mask is not None:
+                    gains += row_mask
+                    scores += col_mask
+                scores += gains[:, :, :, np.newaxis]
+                picks[:, g] = scores.reshape(B, -1).argmin(axis=1)
+                lows[:, g] = scores.reshape(B, -1)[rows, picks[:, g]]
+            # A row-major argmin is lexicographic within a band; across
+            # bands, the least score wins, then the lexicographically first.
+            m0, m1, start = table.T
+            row, l = np.divmod(picks, k - 1 - m0)
+            row, m = np.divmod(row, m1 - m0)
+            patterns = np.dstack((band_heads[start + row], m0 + m, m0 + 1 + l))
+            g = np.lexsort((*np.moveaxis(patterns, 2, 0)[::-1], lows), axis=1)[:, 0]
+            low, pattern = lows[rows, g], patterns[rows, g]
+        # A later order replaces the best only if strictly lower: the first
+        # order reaching the least score wins.
+        better = low < best
+        best[better], won_t[better] = low[better], t
+        won[better, :t] = pattern[better]
+    return won_t, won
 
 
 def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
@@ -207,19 +248,21 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
 
         sum_{j in x} |r_j| - (s/2)·prod_{j in x} sigma_j
 
-    up to a constant shared by all patterns.  Order t scores every
-    p + {l}, for p a weight-(t-1) prefix, with one matrix product: the
-    rows (s/2)·prod_{j in p} sigma_j, one per prefix in lexicographic
-    order, times the transposed sigma rows.  Entries with l <= max(p) are
-    masked to +inf.  A row-major argmin then returns the lexicographically
-    first minimum, and a pattern replaces the best so far only if it scores
-    strictly lower, so earlier patterns win ties; on inputs whose sums are
-    exact, such as dyadic values, ties resolve exactly.
+    up to a constant shared by all patterns.  Order 1 scores every l with one
+    product.  Order t >= 2 groups its patterns by m, the second-largest
+    position: a head h (a weight-(t-2) pattern below m), m, and l > m.  One
+    product scores group m, the rows (s/2)·prod_{j in h+{m}} sigma_j, heads in
+    lexicographic order, times the sigma rows l > m, so each pattern is scored
+    once (see _bands).  A row-major argmin is a group's lexicographically first
+    minimum; across groups the least score wins, then the lexicographically
+    first pattern.  A later order replaces the best only if strictly lower, so
+    earlier patterns win ties; on inputs whose sums are exact, such as dyadic
+    values, ties resolve exactly.
     """
     (B, n), k = received.shape, code.k
     if order > k:
         raise ValueError(f"OSD order {order} exceeds k = {k}")
-    # Refuse, before any table is built, an order whose largest mask, at
+    # Refuse, before any table is built, an order whose largest table, at
     # t - 1 = min(order - 1, k // 2), exceeds the cap.
     table = 8 * k * math.comb(k, min(order - 1, k // 2)) if order else 0
     if table > OSD_MAX_TABLE_BYTES:
@@ -251,17 +294,15 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
         # -s/2: pattern x scores its flip gains plus red_weight·prod_{j in x} sigma_j.
         red_weight = -0.5 * r_ranked[each, red] * (1.0 - 2.0 * base_red)
         flip_gain = np.abs(r_mrb)
-        row_bytes = 8 * (n * len(_pattern_indices(k, order - 1)) + k * (n - k))
-        step = max(1, _CHUNK_BYTES // row_bytes)
+        # Per row: sigma, head products and as much for a group, or one row of scores.
+        scratch = 2 * math.comb(k, order - 2) * (n - k) if order > 1 else n
+        step = max(1, _CHUNK_BYTES // (8 * (scratch + k * (n - k))))
         for lo in range(0, B, step):
             chunk = slice(lo, lo + step)
             sigma = 1.0 - 2.0 * np.ascontiguousarray(red_cols[chunk].transpose(0, 2, 1))
-            won_t, won_i = _best_patterns(sigma, red_weight[chunk], flip_gain[chunk], order)
+            won_t, won = _best_patterns(sigma, red_weight[chunk], flip_gain[chunk], order)
             for b in np.flatnonzero(won_t):
-                p, l = divmod(int(won_i[b]), k)
-                flipped = info[lo + b]
-                flipped[_pattern_indices(k, int(won_t[b]) - 1)[p]] ^= 1
-                flipped[l] ^= 1
+                info[lo + b, won[b, :won_t[b]]] ^= 1
     out = np.empty((B, n), dtype=np.uint8)
     out[each, rank_order[each, mrb]] = info
     out[each, rank_order[each, red]] = (red_cols @ info[:, :, np.newaxis])[:, :, 0] & 1

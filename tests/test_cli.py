@@ -16,6 +16,9 @@ def test_parse_snr_grid():
     for bad in ("1:2", "3:1:1", "1:3:0"):
         with pytest.raises(ValueError):
             parse_snr_grid(bad)
+    for empty in ("", " "):
+        with pytest.raises(ValueError, match="empty SNR grid"):
+            parse_snr_grid(empty)
 
 
 def test_codes_listing(capsys):
@@ -81,6 +84,22 @@ def test_estimate_rejects_bad_mu(tmp_path):
           "--seed", "73", "--weights", "8:8", "--out", str(lists_dir)])
     assert main(["estimate", "golay-24-12", "--lists", str(lists_dir),
                  "--mu", "1.5", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_empty_snr_grid_is_a_usage_error(tmp_path, capsys):
+    # An empty --snr is refused, not replaced by the default grid.
+    lists_dir = tmp_path / "lists"
+    harvest = ["harvest", "golay-24-12", "--decoder", "mld", "--trials", "100",
+               "--seed", "74", "--weights", "8:8", "--out", str(lists_dir)]
+    assert main(harvest + ["--snr", ""]) == 2
+    assert not lists_dir.exists()
+    assert main(harvest) == 0
+    capsys.readouterr()
+    out = tmp_path / "x.csv"
+    assert main(["estimate", "golay-24-12", "--lists", str(lists_dir), "--sampler", "impulse",
+                 "--decoder", "mld", "--snr", "", "--out", str(out)]) == 2
+    assert "empty SNR grid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_estimate_missing_lists_is_compute_error(tmp_path):

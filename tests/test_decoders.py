@@ -13,8 +13,8 @@ from pwe.codes import contains, encode, get_code, iter_codewords
 from pwe.decoders import (
     BLOCK_ELIMINATION_MIN,
     DecoderKind,
+    _bands,
     _eliminate_block,
-    _last_flip_mask,
     _pattern_indices,
     decode,
     decode_batch,
@@ -265,6 +265,7 @@ OSD_DIFFERENTIAL = (
     ("bch-130-66", (3,), 15, 5),
     ("bch-103-47", (3,), 15, 5),
     ("bch-111-55", (3,), 15, 5),
+    ("bch-63-39", (3, 4), 15, 5),
     ("golay-24-12", (0, 1, 2, 3, 4, 5, 12), 40, 20),
 )
 
@@ -302,28 +303,52 @@ def test_mld_breaks_ties_lexicographically(name, count):
     assert tied > count // 4
 
 
-@pytest.mark.parametrize("k,t", [(1, 1), (4, 1), (5, 2), (6, 3), (7, 4), (5, 5)])
-def test_last_flip_mask_keeps_each_pattern_once_in_order(k, t):
-    mask = _last_flip_mask(k, t)
-    prefixes = _pattern_indices(k, t - 1)
-    assert mask.shape == (len(prefixes), k)
-    assert set(np.unique(mask)) <= {0.0, np.inf}
-    kept = [(*prefixes[p], l) for p, l in zip(*np.nonzero(mask == 0))]
-    assert kept == list(combinations(range(k), t))
+@pytest.mark.parametrize("k,t", [(2, 2), (4, 2), (5, 2), (6, 3), (7, 4), (5, 5)])
+@pytest.mark.parametrize("B", [1, 4, 64, 1 << 20])
+def test_bands_score_each_pattern_once_in_order(k, t, B):
+    # Every weight-t pattern is one unmasked entry of one band, the unmasked
+    # entries of a band run in lexicographic order, and the tables that
+    # decode a band's entries list each band's m range and heads.
+    rank = {p: i for i, p in enumerate(combinations(range(k), t))}
+    bands, table, all_heads = _bands(k, t, B)
+    seen, offset = [], 0
+    for (m0, m1, heads, row_mask, col_mask), row in zip(bands, table):
+        heads = _pattern_indices(k, t - 2)[heads]
+        assert row.tolist() == [m0, m1, offset]
+        assert (all_heads[offset:offset + len(heads)] == heads).all()
+        offset += len(heads)
+        entries = [(*h, m, l) for h in heads.tolist()
+                   for m in range(m0, m1) for l in range(m0 + 1, k)]
+        mask = (np.zeros(len(entries)) if row_mask is None
+                else (row_mask[:, :, None] + col_mask).ravel())
+        assert set(np.unique(mask)) <= {0.0, np.inf}
+        ranks = [rank.get(p) for p, masked in zip(entries, mask) if not masked]
+        assert None not in ranks and ranks == sorted(ranks)
+        seen += ranks
+    assert sorted(seen) == list(range(len(rank)))
+    if B == 1 << 20:
+        assert len(bands) == k - t + 1  # a large block scores each group alone
 
 
-def test_both_paths_apply_the_last_flip_mask(monkeypatch):
-    # With every reprocessing entry masked, any order decodes as order 0:
-    # on one row (gf2.rref per row) and on a block (block elimination).
+def test_both_paths_reprocess_by_bands(monkeypatch):
+    # With every band entry masked, orders 2 and 3 never win and osd:3
+    # decodes as osd:1: on one row (gf2.rref per row) and on a block (block
+    # elimination).
     code = get_code("bch-127-50")
     received = np.array(list(harvest_like(code, np.random.default_rng(40), 2 * BLOCK_ELIMINATION_MIN)))
-    order0 = decode_batch(DecoderKind("osd", 0), code, received)
+    order1 = decode_batch(DecoderKind("osd", 1), code, received)
     order3 = decode_batch(DecoderKind("osd", 3), code, received)
-    assert (order3 != order0).any()
-    monkeypatch.setattr(decoders, "_last_flip_mask",
-                        lambda k, t: np.full((len(_pattern_indices(k, t - 1)), k), np.inf))
-    assert (decode_batch(DecoderKind("osd", 3), code, received) == order0).all()
-    for r, row in zip(received[:3], order0):
+    assert (order3 != order1).any()
+
+    def masked(k, t, B):
+        bands, *tables = _bands(k, t, B)
+        rows = [len(_pattern_indices(k, t - 2)[heads]) for _, _, heads, *_ in bands]
+        return tuple((m0, m1, heads, np.full((h, m1 - m0), np.inf), np.zeros((m1 - m0, k - 1 - m0)))
+                     for (m0, m1, heads, *_), h in zip(bands, rows)), *tables
+
+    monkeypatch.setattr(decoders, "_bands", masked)
+    assert (decode_batch(DecoderKind("osd", 3), code, received) == order1).all()
+    for r, row in zip(received[:3], order1):
         assert osd_decode(code, r, 3).value == BitWord.from_bits(row.tolist()).value
 
 
