@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitops import bits_to_int, bits_to_ints, int_to_bits, ints_to_bits
-from .codes import CodeSpec, iter_codewords
+from .codes import CodeSpec, codeword_rows, iter_codewords
 from .gf2 import BitWord, GF2Matrix, rref
 
 __all__ = ["DecoderKind", "parse_decoder", "decode_batch", "mld_decode", "osd_decode", "decode"]
@@ -49,31 +49,55 @@ def parse_decoder(text: str) -> DecoderKind:
     raise ValueError(f"unknown decoder string {text!r} (expected 'mld' or 'osd:L')")
 
 
-def _validate_soft(code: CodeSpec, r) -> np.ndarray:
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (code.n,):
-        raise ValueError(f"soft vector length {r.shape} != n = {code.n}")
-    if not np.all(np.isfinite(r)):
-        raise ValueError("soft vector must be finite")
-    return r
-
-
-# Largest k whose whole codebook MLD may hold: the 2^k x n bit array, and
-# the float64 scores of a 512-block simulation batch (268 MB at k = 16).
-MLD_MAX_K = 16
+# Largest k whose whole codebook MLD may hold: the bits and their float64 and
+# float32 images, 13·2^k·n bytes, and one float32 score block of _MLD_ROWS rows
+# (16 MB at k = 16) reused for a whole batch, so the peak memory does not depend
+# on how many rows each batch screens; float64 fallback rows take 2^k·8 bytes each.
+MLD_MAX_K, _MLD_ROWS = 16, 64
 
 
 @functools.lru_cache(maxsize=8)
-def _codebook(code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+def _codebook(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All codewords as a 2^k x n bit array in lexicographic (b_0, b_1, ...)
-    order, and its float64 image."""
+    order, and its float64 and float32 images."""
     if code.k > MLD_MAX_K:
         raise ValueError(f"MLD needs k <= {MLD_MAX_K}, got k = {code.k}")
     bits = ints_to_bits(list(iter_codewords(code)), code.n)
     bits = bits[np.lexsort(bits.T[::-1])]
-    image = bits.astype(np.float64)
-    bits.flags.writeable = image.flags.writeable = False
-    return bits, image
+    image, image32 = bits.astype(np.float64), bits.astype(np.float32)
+    bits.flags.writeable = image.flags.writeable = image32.flags.writeable = False
+    return bits, image, image32
+
+
+def _mld_exact(image: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each row's first float64 argmin of (dist² - const)/4 over the codebook."""
+    return np.argmin(rows @ image.T, axis=1)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowing rows get bound +inf
+def _mld_batch(code: CodeSpec, received: np.ndarray) -> np.ndarray:
+    """MLD of each row of a B x n block, certificates first (see decode_batch)."""
+    bits, image, image32 = _codebook(code)
+    size = np.abs(received)
+    total = size.sum(axis=1)
+    # Four float32 score errors; +inf where float32 sums could overflow.
+    bound = np.where(total < 2.0 ** 127,
+                     4 * ((code.n + 2) * 2.0 ** -24 * total + code.n * 2.0 ** -126), np.inf)
+    out = (received < 0).astype(np.uint8)
+    rest = np.flatnonzero(~(codeword_rows(code, out) & (size.min(axis=1) > bound)))
+    best, gap = np.empty(len(rest), np.intp), np.empty(len(rest))
+    block = np.empty((min(len(rest), _MLD_ROWS), len(bits)), np.float32)
+    for at in range(0, len(rest), _MLD_ROWS):
+        rows, part = rest[at:at + _MLD_ROWS], slice(at, at + _MLD_ROWS)
+        scores = np.matmul(received[rows].astype(np.float32), image32.T, out=block[:len(rows)])
+        each, best[part] = np.arange(len(rows)), scores.argmin(axis=1)
+        low = scores[each, best[part]].astype(np.float64)
+        scores[each, best[part]] = np.inf
+        gap[part] = scores.min(axis=1) - low
+    unsure = ~(gap > bound[rest])  # NaN gaps are unsure too
+    best[unsure] = _mld_exact(image, received[rest[unsure]])
+    out[rest] = bits[best]
+    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -313,9 +337,17 @@ def decode_batch(kind: DecoderKind, code: CodeSpec, received) -> np.ndarray:
     """Decode each row of a B x n block of soft values; returns B x n uint8 words.
 
     MLD picks the codeword with the least correlation sum r_i·c_i, ties going
-    to the lexicographically smallest bit sequence (b_0, b_1, ...); OSD is
-    described in _osd_batch.  Row b of the result depends on row b of the
-    input alone, so a block decodes exactly as its rows one at a time.
+    to the lexicographically smallest bit sequence (b_0, b_1, ...): the first
+    float64 argmin over the sorted codebook.  Let bound = 4·((n + 2)·2^-24·
+    sum|r_i| + n·2^-126), four times the error of any float32 score, subnormal
+    inputs flushed to zero or not, or +inf from sum|r_i| = 2^127 on, where
+    float32 sums could overflow.  A row's hard decision (r < 0) is taken if
+    it is a codeword and every |r_i| exceeds the bound; else the float32
+    argmin, if the float32 runner-up scores more than the bound above it; else
+    the float64 argmin, which settles exact ties.  Each certificate proves the
+    float64 argmin's word, so the outputs are those of float64 scoring alone.
+    OSD is described in _osd_batch.  Row b of the result depends on row b of
+    the input alone, so a block decodes exactly as its rows one at a time.
     """
     received = np.asarray(received, dtype=np.float64)
     if received.ndim != 2 or received.shape[1] != code.n:
@@ -325,17 +357,13 @@ def decode_batch(kind: DecoderKind, code: CodeSpec, received) -> np.ndarray:
     if len(received) == 0:
         return np.zeros((0, code.n), dtype=np.uint8)
     if kind.variant == "mld":
-        bits, image = _codebook(code)
-        # (dist² - const)/4 per codeword; the first minimum is the
-        # lexicographically smallest of the tied codewords.
-        return bits[np.argmin(received @ image.T, axis=1)]
+        return _mld_batch(code, received)
     return _osd_batch(code, received, kind.order)
 
 
 def decode(kind: DecoderKind, code: CodeSpec, r) -> BitWord:
     """Decode one soft vector with the selected decoder: a block of one."""
-    r = _validate_soft(code, r)
-    return BitWord(code.n, bits_to_int(decode_batch(kind, code, r[np.newaxis])[0]))
+    return BitWord(code.n, bits_to_int(decode_batch(kind, code, [r])[0]))
 
 
 def mld_decode(code: CodeSpec, r) -> BitWord:
@@ -350,6 +378,8 @@ def osd_decode(code: CodeSpec, r, order: int) -> BitWord:
 
 def euclidean_score(code: CodeSpec, word: BitWord, r) -> float:
     """Squared Euclidean distance between r and the BPSK image of a codeword."""
-    r = _validate_soft(code, r)
+    r = np.asarray(r, dtype=np.float64)
+    if r.shape != (code.n,) or not np.all(np.isfinite(r)):
+        raise ValueError(f"soft vector must be {code.n} finite values, got shape {r.shape}")
     s = 1.0 - 2.0 * int_to_bits(word.value, code.n).astype(np.float64)
     return float(np.sum((r - s) ** 2))

@@ -281,7 +281,7 @@ def test_osd_matches_per_pattern_reference(name, orders, harvested, rounds):
             assert osd_decode(code, r, order).value == reference_osd_decode(code, r, order)
 
 
-@pytest.mark.parametrize("name,count", [("hamming-7-4", 300), ("golay-24-12", 150)])
+@pytest.mark.parametrize("name,count", [("hamming-7-4", 300), ("golay-24-12", 150), ("qr-23-12", 150)])
 def test_mld_breaks_ties_lexicographically(name, count):
     # Entries in {-1, -1/2, 0, 1/2, 1}: every correlation is exact, and
     # many inputs have several minimal codewords.
@@ -301,6 +301,146 @@ def test_mld_breaks_ties_lexicographically(name, count):
         assert mld_decode(code, r).value == want
         assert BitWord.from_bits(row.tolist()).value == want
     assert tied > count // 4
+
+
+# Codes and blocks of the MLD exactness tests.  Scaled N(0,1) rows reach
+# the float32 edges: overflow of entries (1e39) or of sums (1e38),
+# subnormals (1e-38, 1e-44), below float32's range (1e-300), and near
+# float64's top (1e300).  Near ties are midway between two codewords, off
+# by about float32's rounding of the entries.
+MLD_CODES = ("golay-24-12", "qr-23-12", "hamming-7-4")
+MLD_SCALES = (1e39, 1e38, 1e30, 1e-38, 1e-44, 1e-300, 1e300)
+MLD_SNRS = (0.0, 3.0, 5.0, 8.0)
+MLD_NEAR_TIES = (1e-6, 1e-7)
+# SHA-256 of every decoded word of mld_blocks on MLD_CODES, frozen from a
+# reference run of the plain float64 argmin.
+MLD_CORPUS_SHA256 = "0267dc6d1e2af5984bddb5cf11d668bf2ef9b370fe851dffc2e7908b24628c06"
+
+
+def lexicographic_codebook(code):
+    """All codewords as bit rows, sorted into (b_0, b_1, ...) order."""
+    bits = ints_to_bits(list(iter_codewords(code)), code.n)
+    return bits[np.lexsort(bits.T[::-1])]
+
+
+def sim_like(code, rng, snr_db, count):
+    """A block of random BPSK codewords plus AWGN, as a simulation draws it."""
+    words = lexicographic_codebook(code)
+    tx = bpsk(words[rng.integers(len(words), size=count)])
+    return tx + noise_sigma(snr_db, code.rate) * rng.normal(size=tx.shape)
+
+
+def mld_blocks(code):
+    """(label, block): 200 scaled N(0,1) rows per scale, a 512-row sim-like
+    block per SNR, 200 near ties per offset, and 200 harvest-like rows."""
+    rng = np.random.default_rng([44, code.n])
+    for scale in MLD_SCALES:
+        yield f"x{scale:g}", scale * rng.normal(size=(200, code.n))
+    for snr in MLD_SNRS:
+        yield f"{snr:g} dB", sim_like(code, rng, snr, 512)
+    words = lexicographic_codebook(code)
+    for offset in MLD_NEAR_TIES:
+        pairs = bpsk(words[rng.integers(len(words), size=(2, 200))])
+        yield f"tie {offset:g}", pairs.mean(axis=0) + offset * rng.normal(size=(200, code.n))
+    yield "impulse", np.array(list(harvest_like(code, rng, 200)))
+
+
+def mld_corpus_digest() -> str:
+    h = hashlib.sha256()
+    for name in MLD_CODES:
+        code = get_code(name)
+        for label, block in mld_blocks(code):
+            words = decode_batch(DecoderKind("mld"), code, block)
+            h.update(f"{name}:{label}:".encode() + np.packbits(words, axis=1).tobytes())
+    return h.hexdigest()
+
+
+def test_mld_outputs_are_frozen():
+    assert mld_corpus_digest() == MLD_CORPUS_SHA256
+
+
+@pytest.mark.parametrize("name", MLD_CODES)
+def test_mld_equals_float64_argmin(name):
+    code = get_code(name)
+    book = lexicographic_codebook(code)
+    image = book.astype(np.float64)
+    for label, block in mld_blocks(code):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = book[np.argmin(block @ image.T, axis=1)]
+        assert (decode_batch(DecoderKind("mld"), code, block) == want).all(), label
+
+
+def rows_to_float64(monkeypatch):
+    """Route _mld_exact through a recorder; returns the list of rows it decodes."""
+    seen, exact = [], decoders._mld_exact
+
+    def recorded(image, rows):
+        seen.extend(map(tuple, rows))
+        return exact(image, rows)
+
+    monkeypatch.setattr(decoders, "_mld_exact", recorded)
+    return seen
+
+
+def test_mld_gaussian_blocks_need_no_float64(monkeypatch):
+    seen = rows_to_float64(monkeypatch)
+    code = get_code("golay-24-12")
+    rng = np.random.default_rng(45)
+    for snr in (3.0, 4.0, 5.0):
+        for _ in range(8):
+            decode_batch(DecoderKind("mld"), code, sim_like(code, rng, snr, 512))
+    assert seen == []
+
+
+@pytest.mark.parametrize("name", MLD_CODES)
+def test_mld_ties_go_to_float64(monkeypatch, name):
+    # Every exactly tied row: its float32 gap is 0, never above the bound.
+    seen = rows_to_float64(monkeypatch)
+    code = get_code(name)
+    book = lexicographic_codebook(code)
+    received = np.random.default_rng([46, code.n]).integers(-2, 3, size=(300, code.n)) / 2.0
+    decode_batch(DecoderKind("mld"), code, received)
+    scores = received @ book.T
+    tied = received[(scores == scores.min(axis=1, keepdims=True)).sum(axis=1) > 1]
+    assert len(tied) > 30 and set(map(tuple, tied)) <= set(seen)
+
+
+def test_mld_hard_decision_codewords_skip_float32(monkeypatch):
+    # A NaN float32 image sends every row that reaches the float32 product on
+    # to _mld_exact; rows whose hard decision is a codeword, with no tiny
+    # entry, never get there, and the outputs stay exact.
+    code = get_code("golay-24-12")
+    block = sim_like(code, np.random.default_rng(47), 5.0, 512)
+    book = lexicographic_codebook(code)
+    want = book[np.argmin(block @ book.T.astype(np.float64), axis=1)]
+    bits, image, image32 = decoders._codebook(code)
+    monkeypatch.setattr(decoders, "_codebook", lambda code: (bits, image, np.full_like(image32, np.nan)))
+    seen = rows_to_float64(monkeypatch)
+    assert (decode_batch(DecoderKind("mld"), code, block) == want).all()
+    hard = (block < 0).astype(np.uint8)
+    member = np.array([contains(code, BitWord.from_bits(row.tolist())) for row in hard])
+    assert member.sum() > 100 and not member.all()
+    assert {tuple(r) for r in block[~member]} <= set(seen)
+    assert not {tuple(r) for r in block[member & (np.abs(block).min(axis=1) > 1e-3)]} & set(seen)
+
+
+def test_mld_scores_a_fixed_number_of_rows_at_a_time():
+    # At 0 dB most rows reach the float32 screen; it scores them _MLD_ROWS
+    # at a time (1 MB on golay-24-12), not all 2,048 at once (32 MB), and
+    # the block's other working arrays take about 1.5 MB.
+    code = get_code("golay-24-12")
+    block = sim_like(code, np.random.default_rng(48), 0.0, 2048)
+    book = lexicographic_codebook(code)
+    want = book[np.argmin(block @ book.T.astype(np.float64), axis=1)]
+    decode_batch(DecoderKind("mld"), code, block[:1])  # the codebook, cached
+    tracemalloc.start()
+    try:
+        got = decode_batch(DecoderKind("mld"), code, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got == want).all()
+    assert decoders._MLD_ROWS * len(book) * 4 <= 1 << 20 and peak < 4 << 20
 
 
 @pytest.mark.parametrize("k,t", [(2, 2), (4, 2), (5, 2), (6, 3), (7, 4), (5, 5)])
