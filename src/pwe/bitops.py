@@ -18,12 +18,6 @@ def ints_to_bits(values, n: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=n, bitorder="little")
 
 
-def bits_to_int(bits: np.ndarray) -> int:
-    """Inverse of int_to_bits."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def bpsk(bits: np.ndarray) -> np.ndarray:
     """BPSK image of a bit array: 0 -> +1, 1 -> -1."""
     return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)

@@ -273,9 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--pwe")
     src.add_argument("--we")
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--bit", action="store_true", default=True)
-    kind.add_argument("--word", action="store_true", default=False)
+    p.add_argument("--word", action="store_true",
+                   help="word-error bound from --we (default: the bit-error bound)")
     p.add_argument("--snr", required=True, help="grid LO:HI:STEP (dB)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bound)

@@ -2,9 +2,9 @@
 
 Codes are described by a CodeSpec holding a full-rank generator matrix plus
 optional cyclic structure (generator polynomial) and an optional link to the
-cyclic parent a shortened code was cut from.  Exhaustive weight-distribution
-enumeration walks all 2^k codewords in Gray-code order so each step costs a
-single row XOR.
+cyclic parent a shortened code was cut from.  Exhaustive enumeration walks
+all 2^k codewords in Gray-code order on packed 64-bit words, one table of
+2^17 codewords at a time, each XORed with one combination of the other rows.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ class SystematicForm(NamedTuple):
 
     generator: GF2Matrix  # R; row i has its pivot at info_positions[i]
     info_positions: tuple[int, ...]
-    parity_check: GF2Matrix  # H with R·Hᵀ = 0, one row per non-pivot column
     generator_bits: np.ndarray  # R as a k x n uint8 array
 
 
@@ -102,20 +101,9 @@ def _systematic_form(G: GF2Matrix) -> SystematicForm:
     R, rank, pivots = rref(G)
     if rank != G.nrows:
         raise ValueError(f"generator matrix is rank-deficient: rank {rank} < {G.nrows} rows")
-    # Column c outside the pivots yields the check "bit c equals the sum of
-    # the information bits whose row of R has bit c set".
-    pivot_set = set(pivots)
-    h_rows = []
-    for c in range(G.ncols):
-        if c in pivot_set:
-            continue
-        row = 1 << c
-        for p, r in zip(pivots, R.rows):
-            row |= ((r >> c) & 1) << p
-        h_rows.append(row)
     bits = ints_to_bits(R.rows, G.ncols)
     bits.flags.writeable = False
-    return SystematicForm(R, tuple(pivots), GF2Matrix(tuple(h_rows), G.ncols), bits)
+    return SystematicForm(R, tuple(pivots), bits)
 
 
 def info_positions(code: CodeSpec) -> tuple[int, ...]:
@@ -140,15 +128,21 @@ def extract_info(code: CodeSpec, word: BitWord) -> BitWord:
 
 
 def contains(code: CodeSpec, word: BitWord | int) -> bool:
-    """Parity-check membership test of a BitWord, or of an int holding the
-    n bits of a word."""
+    """Membership test of a BitWord, or of an int holding the n bits of a
+    word, by the rule of codeword_rows: the XOR of R's rows at the word's
+    set information positions must equal the word."""
     if isinstance(word, BitWord):
         if word.length != code.n:
             raise ValueError(f"word length {word.length} != n = {code.n}")
         word = word.value
     elif not 0 <= word < 1 << code.n:
         raise ValueError(f"word {word:#x} does not fit in n = {code.n} bits")
-    return code.systematic.parity_check.syndrome(word) == 0
+    form = code.systematic
+    reencoded = 0
+    for p, r in zip(form.info_positions, form.generator.rows):
+        if word >> p & 1:
+            reencoded ^= r
+    return reencoded == word
 
 
 def codeword_rows(code: CodeSpec, bits: np.ndarray) -> np.ndarray:
@@ -273,64 +267,66 @@ def qr_generator_polynomial(p: int) -> GF2Poly:
 # Exhaustive enumeration
 # ---------------------------------------------------------------------------
 
-def _check_exhaustive(k: int):
+# Codewords per chunk: the table over the first _TABLE_ROWS generator rows.
+_TABLE_ROWS = 17
+
+
+def _codeword_chunks(code: CodeSpec) -> Iterator[np.ndarray]:
+    """All 2^k codewords, in chunks of at most 2^17 rows of ceil(n/64)
+    little-endian 64-bit words.  Each chunk is overwritten by the next, so a
+    consumer reads it before drawing another.
+
+    Codeword i is the XOR of the generator rows at the set bits of i's
+    reflected Gray code i ^ (i >> 1), so consecutive codewords differ by one
+    row.  The table over the first 17 rows holds one chunk in that order;
+    chunk c is the table, reversed when c is odd, XOR the rows 17 on at the
+    set bits of c's Gray code.
+    """
     limit = exhaustive_limit()
-    if k > limit:
-        raise ValueError(f"dimension k = {k} exceeds the exhaustive limit {limit}")
+    if code.k > limit:
+        raise ValueError(f"dimension k = {code.k} exceeds the exhaustive limit {limit}")
+    nwords = -(-code.n // 64)
+    raw = b"".join(r.to_bytes(8 * nwords, "little") for r in code.generator_matrix.rows)
+    rows = np.frombuffer(raw, dtype="<u8").reshape(code.k, nwords)
+    table = np.zeros((1, nwords), dtype="<u8")
+    for row in rows[:_TABLE_ROWS]:
+        table = np.concatenate([table, table[::-1] ^ row])
+    # Reversed once: XOR over a reversed view takes about 1.5 times as long.
+    tables, acc = (table, table[::-1].copy()), np.zeros(nwords, dtype="<u8")
+    # One buffer per call: after MLD decoding, a fresh chunk per step was
+    # mapped from the OS and released again each time, 31,000 page faults in
+    # a qr-47-24 enumeration against 800 with the buffer.
+    chunk = np.empty_like(table)
+    for c in range(1 << max(code.k - _TABLE_ROWS, 0)):
+        if c:
+            acc ^= rows[_TABLE_ROWS + (c & -c).bit_length() - 1]
+        yield np.bitwise_xor(tables[c & 1], acc, out=chunk)
 
 
-def iter_codewords(code: CodeSpec) -> Iterator[int]:
-    """All 2^k codewords as integers, in Gray-code order (one XOR per step)."""
-    _check_exhaustive(code.k)
-    rows = code.generator_matrix.rows
-    cw = 0
-    yield cw
-    for i in range(1, 1 << code.k):
-        cw ^= rows[(i & -i).bit_length() - 1]
-        yield cw
-
-
-def _weight_counts_numpy(rows: tuple[int, ...], n: int) -> np.ndarray:
-    """Vectorized weight histogram for n <= 64 via packed uint64 XOR tables."""
-    k = len(rows)
-    k_hi = min(k, 17)
-    k_lo = k - k_hi
-    table = np.zeros(1, dtype=np.uint64)
-    for r in rows[k_lo:]:
-        table = np.concatenate([table, table ^ np.uint64(r)])
-    counts = np.zeros(n + 1, dtype=np.int64)
-    acc = 0
-    counts += np.bincount(np.bitwise_count(table), minlength=n + 1)
-    for i in range(1, 1 << k_lo):
-        acc ^= rows[(i & -i).bit_length() - 1]
-        arr = table ^ np.uint64(acc)
-        counts += np.bincount(np.bitwise_count(arr), minlength=n + 1)
-    return counts
+def _weights(code: CodeSpec, chunk: np.ndarray) -> np.ndarray:
+    """Hamming weight of each packed row: its words' popcounts added one word
+    at a time, in the least type that holds n (for n <= 64, the popcounts)."""
+    dtype = np.min_scalar_type(code.n)
+    return functools.reduce(lambda a, b: np.add(a, b, dtype=dtype), np.bitwise_count(chunk).T)
 
 
 def exact_weight_distribution(
     code: CodeSpec, max_weight: Optional[int] = None
 ) -> WeightDistribution:
     """Complete (or weight-truncated) A_w by enumerating all 2^k codewords."""
-    _check_exhaustive(code.k)
-    n = code.n
-    if n <= 64:
-        counts = _weight_counts_numpy(code.generator_matrix.rows, n)
-        d = {w: int(counts[w]) for w in range(n + 1) if counts[w]}
-    else:
-        d: dict[int, int] = {}
-        for cw in iter_codewords(code):
-            w = cw.bit_count()
-            d[w] = d.get(w, 0) + 1
-    if max_weight is not None:
-        d = {w: a for w, a in d.items() if w <= max_weight}
-    return WeightDistribution.from_dict(d)
+    counts = sum(np.bincount(_weights(code, chunk), minlength=code.n + 1)
+                 for chunk in _codeword_chunks(code))
+    top = code.n if max_weight is None else min(max_weight, code.n)
+    return WeightDistribution.from_dict({w: int(counts[w]) for w in range(top + 1)})
 
 
 def codewords_of_weight(code: CodeSpec, w: int) -> list[int]:
-    """All codewords of one weight, as integers (requires small k)."""
-    _check_exhaustive(code.k)
-    return [cw for cw in iter_codewords(code) if cw.bit_count() == w]
+    """All codewords of one weight, as integers in enumeration order
+    (requires small k)."""
+    raw = b"".join(chunk[_weights(code, chunk) == w].tobytes()
+                   for chunk in _codeword_chunks(code))
+    size = 8 * -(-code.n // 64)
+    return [int.from_bytes(raw[at:at + size], "little") for at in range(0, len(raw), size)]
 
 
 def minimum_distance_exhaustive(code: CodeSpec) -> int:

@@ -16,8 +16,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitops import bits_to_int, bits_to_ints, int_to_bits, ints_to_bits
-from .codes import CodeSpec, codeword_rows, iter_codewords
+from .bitops import bits_to_ints, int_to_bits, ints_to_bits
+from .codes import CodeSpec, _codeword_chunks, codeword_rows
 from .gf2 import BitWord, GF2Matrix, rref
 
 __all__ = ["DecoderKind", "parse_decoder", "decode_batch", "mld_decode", "osd_decode", "decode"]
@@ -62,7 +62,8 @@ def _codebook(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order, and its float64 and float32 images."""
     if code.k > MLD_MAX_K:
         raise ValueError(f"MLD needs k <= {MLD_MAX_K}, got k = {code.k}")
-    bits = ints_to_bits(list(iter_codewords(code)), code.n)
+    bits = np.concatenate([np.unpackbits(chunk.view(np.uint8), axis=1, count=code.n,
+                                         bitorder="little") for chunk in _codeword_chunks(code)])
     bits = bits[np.lexsort(bits.T[::-1])]
     image, image32 = bits.astype(np.float64), bits.astype(np.float32)
     bits.flags.writeable = image.flags.writeable = image32.flags.writeable = False
@@ -363,7 +364,7 @@ def decode_batch(kind: DecoderKind, code: CodeSpec, received) -> np.ndarray:
 
 def decode(kind: DecoderKind, code: CodeSpec, r) -> BitWord:
     """Decode one soft vector with the selected decoder: a block of one."""
-    return BitWord(code.n, bits_to_int(decode_batch(kind, code, [r])[0]))
+    return BitWord(code.n, bits_to_ints(decode_batch(kind, code, [r]))[0])
 
 
 def mld_decode(code: CodeSpec, r) -> BitWord:

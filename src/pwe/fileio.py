@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -260,20 +259,6 @@ def read_code_definition(path) -> CodeSpec:
 
 # --- run manifests ----------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: Optional[int]
-    code_name: Optional[str]
-    started: float
-    finished: float
-    outputs: list[str]
-
-    def write(self, path):
-        Path(path).write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
-
-
 class ManifestRecorder:
     """Collects a command's parameters and output paths into a manifest."""
 
@@ -295,12 +280,6 @@ class ManifestRecorder:
         return path
 
     def finish(self, manifest_path):
-        RunManifest(
-            command=self.command,
-            parameters=self.parameters,
-            seed=self.seed,
-            code_name=self.code_name,
-            started=self.started,
-            finished=time.time(),
-            outputs=self.outputs,
-        ).write(manifest_path)
+        """Write the manifest: the fields above and the finishing time."""
+        manifest = dict(self.__dict__, finished=time.time())
+        Path(manifest_path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

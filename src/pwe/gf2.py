@@ -9,7 +9,7 @@ construction, so they can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 __all__ = [
     "BitWord",
@@ -46,15 +46,6 @@ class BitWord:
             n += 1
         return cls(n, value)
 
-    @classmethod
-    def from_support(cls, length: int, positions: Iterable[int]) -> "BitWord":
-        value = 0
-        for p in positions:
-            if not 0 <= p < length:
-                raise IndexError(f"position {p} outside [0, {length})")
-            value |= 1 << p
-        return cls(length, value)
-
     def bit(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise IndexError(f"bit index {i} outside [0, {self.length})")
@@ -70,11 +61,6 @@ class BitWord:
         if self.length != other.length:
             raise ValueError("length mismatch in XOR")
         return BitWord(self.length, self.value ^ other.value)
-
-    def __and__(self, other: "BitWord") -> "BitWord":
-        if self.length != other.length:
-            raise ValueError("length mismatch in AND")
-        return BitWord(self.length, self.value & other.value)
 
     def to_hex(self) -> str:
         """Lowercase hex, ceil(length/4) digits, most significant digit first."""
@@ -197,10 +183,6 @@ class GF2Matrix:
             if not 0 <= r < limit:
                 raise ValueError("row value exceeds column count")
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[int], ncols: int) -> "GF2Matrix":
-        return cls(tuple(rows), ncols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -215,13 +197,6 @@ class GF2Matrix:
                 out ^= self.rows[i]
             vv >>= 1
             i += 1
-        return out
-
-    def syndrome(self, word: int) -> int:
-        """word · rowsᵀ: bit i of the result is parity(word AND rows[i])."""
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((word & r).bit_count() & 1) << i
         return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .codes import (
     exact_weight_distribution,
     get_code,
 )
-from .decoders import DecoderKind, decode, euclidean_score, mld_decode, osd_decode
+from .decoders import DecoderKind, euclidean_score, mld_decode, osd_decode
 from .estimator import (
     ExactUniformSampler,
     ImpulseSampler,

@@ -77,6 +77,19 @@ def test_harvest_estimate_bound_pipeline(tmp_path):
     vals = curve.values()
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    # From the exact WE, --word selects the word-error bound, which lies
+    # above the bit-error bound at every point.
+    we_path = tmp_path / "we.csv"
+    assert main(["exact-we", "golay-24-12", "--out", str(we_path)]) == 0
+    bounds = {}
+    for kind, flags in (("word_bound", ["--word"]), ("bit_bound", [])):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["bound", "golay-24-12", "--we", str(we_path), *flags,
+                     "--snr", "1:4:1", "--out", str(out)]) == 0
+        bounds[kind] = fileio.read_curve(out, kind=kind).values()
+    assert len(bounds["word_bound"]) == 4
+    assert all(w > b for w, b in zip(bounds["word_bound"], bounds["bit_bound"]))
+
 
 def test_estimate_rejects_bad_mu(tmp_path):
     lists_dir = tmp_path / "lists"

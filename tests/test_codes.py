@@ -1,10 +1,14 @@
 """Code constructions, the catalog, and exhaustive enumeration."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from pwe.codes import (
+    _codeword_chunks,
     catalog,
+    codeword_rows,
     codewords_of_weight,
     contains,
     cyclic_code,
@@ -15,15 +19,25 @@ from pwe.codes import (
     extract_info,
     get_code,
     info_positions,
-    iter_codewords,
     minimum_distance_exhaustive,
     qr_generator_polynomial,
     quadratic_residues,
     shorten,
 )
+from pwe.bitops import ints_to_bits
 from pwe.gf2 import BitWord, GF2Matrix, GF2Poly, poly_mod, rref, x_n_plus_1
 
 HAMMING_WE = {0: 1, 3: 7, 4: 7, 7: 1}
+
+
+def naive_codewords(code):
+    """Independent oracle: the encoding of every information word."""
+    return [encode(code, BitWord(code.k, m)).value for m in range(2**code.k)]
+
+
+def wide_code():
+    """An n = 67, k = 11 code, two 64-bit words wide."""
+    return shorten(get_code("bch-127-71"), 60)
 
 
 def test_hamming_weight_distribution():
@@ -51,8 +65,7 @@ def test_minimum_distances():
 
 def test_catalog_rank_and_membership():
     for name, code in catalog().items():
-        G = GF2Matrix.from_rows(code.generator_matrix.rows, code.n)
-        _, rank, _ = rref(G)
+        _, rank, _ = rref(code.generator_matrix)
         assert rank == code.k, name
         for row in code.generator_matrix.rows:
             assert contains(code, BitWord(code.n, row)), name
@@ -70,27 +83,65 @@ def test_encode_extract_roundtrip():
             assert extract_info(code, word) == info
 
 
+def in_span(code, word):
+    """Independent oracle: appending a codeword to G leaves its rank at k."""
+    return rref(GF2Matrix(code.generator_matrix.rows + (word,), code.n))[1] == code.k
+
+
 def test_membership_rejects_non_codewords():
     code = get_code("hamming-7-4")
-    members = set(iter_codewords(code))
+    members = set(naive_codewords(code))
     for value in range(2**7):
         assert contains(code, BitWord(7, value)) == (value in members)
         assert contains(code, value) == (value in members)
     for bad in (BitWord(8, 0), 1 << 7, -1):
         with pytest.raises(ValueError):
             contains(code, bad)
+    # On every catalog code: random codewords, every one-bit flip of them,
+    # and random words, against the row rule and the rank of G.
+    rng = np.random.default_rng(25)
+    for name, code in catalog().items():
+        codewords = [encode(code, BitWord.from_bits(rng.integers(0, 2, size=code.k).tolist())).value
+                     for _ in range(2)]
+        flips = [w ^ (1 << i) for w in codewords for i in range(code.n)]
+        randoms = [BitWord.from_bits(rng.integers(0, 2, size=code.n).tolist()).value
+                   for _ in range(20)]
+        words = codewords + flips + randoms
+        member = [contains(code, w) for w in words]
+        assert member[:len(codewords) + len(flips)] == [True] * len(codewords) + [False] * len(flips)
+        assert member == codeword_rows(code, ints_to_bits(words, code.n)).tolist(), name
+        assert member == [in_span(code, w) for w in words], name
+
+
+def gray_reference(code):
+    """Codeword i is codeword i - 1 XOR the generator row at i's lowest set
+    bit, from codeword 0 = 0: the reflected Gray order."""
+    rows, word = code.generator_matrix.rows, 0
+    yield word
+    for i in range(1, 2**code.k):
+        word ^= rows[(i & -i).bit_length() - 1]
+        yield word
 
 
 def test_gray_enumeration_matches_naive():
-    for name in ("hamming-7-4", "golay-24-12", "qr-23-12"):
-        code = get_code(name)
-        naive = {encode(code, BitWord(code.k, m)).value for m in range(2**code.k)}
-        assert set(iter_codewords(code)) == naive
+    # shorten(bch-127-71, 52): n = 75, k = 19, two words wide and four chunks.
+    for code in (get_code("hamming-7-4"), get_code("golay-24-12"), get_code("qr-23-12"),
+                 wide_code(), shorten(get_code("bch-127-71"), 52)):
+        want = list(gray_reference(code))
+        got = [int.from_bytes(row.tobytes(), "little")
+               for chunk in _codeword_chunks(code) for row in chunk]
+        assert got == want, code.name
+        if code.k <= 12:
+            assert sorted(got) == sorted(naive_codewords(code)), code.name
+        weights = Counter(word.bit_count() for word in want)
+        assert exact_weight_distribution(code).as_dict() == weights, code.name
+        d = min(w for w in weights if w)
+        assert codewords_of_weight(code, d) == [v for v in want if v.bit_count() == d], code.name
 
 
 def test_weight_distribution_sums_to_2k():
-    for name in ("hamming-7-4", "qr-23-12", "golay-24-12", "qr-47-24"):
-        code = get_code(name)
+    codes = [get_code(name) for name in ("hamming-7-4", "qr-23-12", "golay-24-12", "qr-47-24")]
+    for code in codes + [wide_code()]:
         assert exact_weight_distribution(code).total() == 2**code.k
 
 

@@ -30,7 +30,7 @@ def test_bitword_roundtrips():
     assert w.length == 5
     assert w.bits() == [1, 0, 1, 1, 0]
     assert w.weight() == 3
-    assert BitWord.from_support(5, [0, 2, 3]) == w
+    assert BitWord(5, 0b01101) == w
     assert w.to_hex() == "0d"
 
 
@@ -53,7 +53,7 @@ def test_weight_xor_identity():
     for _ in range(300):
         a = BitWord(32, int(rng.integers(0, 1 << 32)))
         b = BitWord(32, int(rng.integers(0, 1 << 32)))
-        assert (a ^ b).weight() == a.weight() + b.weight() - 2 * (a & b).weight()
+        assert (a ^ b).weight() == a.weight() + b.weight() - 2 * (a.value & b.value).bit_count()
 
 
 def test_poly_squaring_in_characteristic_two():
@@ -116,8 +116,7 @@ def test_zero_polynomial_degree_is_none():
 def test_rref_idempotence_and_rank():
     rng = np.random.default_rng(15)
     for _ in range(50):
-        M = GF2Matrix.from_rows(
-            [int(rng.integers(0, 1 << 10)) for _ in range(6)], 10)
+        M = GF2Matrix(tuple(int(rng.integers(0, 1 << 10)) for _ in range(6)), 10)
         R, rank, pivots = rref(M)
         R2, rank2, pivots2 = rref(R)
         assert R2 == R and rank2 == rank and pivots2 == pivots
