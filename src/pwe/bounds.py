@@ -1,9 +1,8 @@
 """Analytical performance bounds for ML decoding over AWGN/BPSK.
 
-Word and bit union bounds from a (possibly partial) weight enumerator, the
-truncated bit bound over a PWE's estimated counts, and the binomial
-approximation of primitive-BCH weight spectra.  Sums use math.fsum since the
-terms span many orders of magnitude.
+Word and bit union bounds from a (possibly partial) weight enumerator, and
+the truncated bit bound over a PWE's estimated counts.  Sums use math.fsum
+since the terms span many orders of magnitude.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "union_bound_word",
     "union_bound_bit",
     "truncated_bound",
-    "sidelnikov_approx",
     "bound_curve",
 ]
 
@@ -111,15 +109,6 @@ def truncated_bound(pwe, ctx: RateContext, ebn0_db: float,
     lo = union_bound_bit({e.w: e.count_interval[0] for e in pwe.entries}, ctx, ebn0_db)
     hi = union_bound_bit({e.w: e.count_interval[1] for e in pwe.entries}, ctx, ebn0_db)
     return value, lo, hi
-
-
-def sidelnikov_approx(m: int, t: int, j: int) -> float:
-    """Central binomial approximation 2^(-mt)·C(n, j) of A_j for a primitive
-    BCH code of length n = 2^m - 1 correcting t errors."""
-    n = (1 << m) - 1
-    if not 0 <= j <= n:
-        raise ValueError(f"j must lie in [0, {n}]")
-    return float(math.comb(n, j)) * math.pow(2.0, -m * t)
 
 
 def bound_curve(weights_or_pwe, ctx: RateContext, snr_grid_db: Sequence[float],

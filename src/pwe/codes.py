@@ -10,7 +10,6 @@ all 2^k codewords in Gray-code order on packed 64-bit words, one table of
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
@@ -19,16 +18,9 @@ import numpy as np
 from .bitops import ints_to_bits
 from .gf2 import BitWord, GF2Matrix, GF2Poly, poly_gcd, poly_mod, rref, x_n_plus_1
 
-DEFAULT_EXHAUSTIVE_LIMIT = 26
-EXHAUSTIVE_LIMIT_ENV = "PWE_EXHAUSTIVE_LIMIT"
-
-
-def exhaustive_limit() -> int:
-    """Largest dimension k for which 2^k enumeration is allowed."""
-    raw = os.environ.get(EXHAUSTIVE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_EXHAUSTIVE_LIMIT
-    return int(raw)
+# Largest k whose 2^k codewords may be enumerated, as MLD_MAX_K caps MLD's
+# codebook.
+EXHAUSTIVE_MAX_K = 26
 
 
 @dataclass(frozen=True)
@@ -106,11 +98,6 @@ def _systematic_form(G: GF2Matrix) -> SystematicForm:
     return SystematicForm(R, tuple(pivots), bits)
 
 
-def info_positions(code: CodeSpec) -> tuple[int, ...]:
-    """Positions carrying the k information bits."""
-    return code.systematic.info_positions
-
-
 def encode(code: CodeSpec, info: BitWord) -> BitWord:
     """Systematic encoding of a k-bit information word."""
     if info.length != code.k:
@@ -118,24 +105,11 @@ def encode(code: CodeSpec, info: BitWord) -> BitWord:
     return BitWord(code.n, code.systematic.generator.mul_vector(info.value))
 
 
-def extract_info(code: CodeSpec, word: BitWord) -> BitWord:
-    """Information bits of a codeword (the systematic positions)."""
-    value = word.value
-    info = 0
-    for i, p in enumerate(code.systematic.info_positions):
-        info |= ((value >> p) & 1) << i
-    return BitWord(code.k, info)
-
-
-def contains(code: CodeSpec, word: BitWord | int) -> bool:
-    """Membership test of a BitWord, or of an int holding the n bits of a
-    word, by the rule of codeword_rows: the XOR of R's rows at the word's
-    set information positions must equal the word."""
-    if isinstance(word, BitWord):
-        if word.length != code.n:
-            raise ValueError(f"word length {word.length} != n = {code.n}")
-        word = word.value
-    elif not 0 <= word < 1 << code.n:
+def contains(code: CodeSpec, word: int) -> bool:
+    """Membership test of a word, an int below 2^n, by the rule of
+    codeword_rows: the XOR of R's rows at the word's set information
+    positions must equal the word."""
+    if not 0 <= word < 1 << code.n:
         raise ValueError(f"word {word:#x} does not fit in n = {code.n} bits")
     form = code.systematic
     reencoded = 0
@@ -282,9 +256,8 @@ def _codeword_chunks(code: CodeSpec) -> Iterator[np.ndarray]:
     chunk c is the table, reversed when c is odd, XOR the rows 17 on at the
     set bits of c's Gray code.
     """
-    limit = exhaustive_limit()
-    if code.k > limit:
-        raise ValueError(f"dimension k = {code.k} exceeds the exhaustive limit {limit}")
+    if code.k > EXHAUSTIVE_MAX_K:
+        raise ValueError(f"enumeration needs k <= {EXHAUSTIVE_MAX_K}, got k = {code.k}")
     nwords = -(-code.n // 64)
     raw = b"".join(r.to_bytes(8 * nwords, "little") for r in code.generator_matrix.rows)
     rows = np.frombuffer(raw, dtype="<u8").reshape(code.k, nwords)
@@ -327,11 +300,6 @@ def codewords_of_weight(code: CodeSpec, w: int) -> list[int]:
                    for chunk in _codeword_chunks(code))
     size = 8 * -(-code.n // 64)
     return [int.from_bytes(raw[at:at + size], "little") for at in range(0, len(raw), size)]
-
-
-def minimum_distance_exhaustive(code: CodeSpec) -> int:
-    wd = exact_weight_distribution(code)
-    return min(w for w, _ in wd.counts if w > 0)
 
 
 # ---------------------------------------------------------------------------

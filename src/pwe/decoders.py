@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitops import bits_to_ints, int_to_bits, ints_to_bits
+from .bitops import bits_to_ints, bpsk, int_to_bits, ints_to_bits
 from .codes import CodeSpec, _codeword_chunks, codeword_rows
 from .gf2 import BitWord, GF2Matrix, rref
 
@@ -377,10 +377,10 @@ def osd_decode(code: CodeSpec, r, order: int) -> BitWord:
     return decode(DecoderKind("osd", order), code, r)
 
 
-def euclidean_score(code: CodeSpec, word: BitWord, r) -> float:
-    """Squared Euclidean distance between r and the BPSK image of a codeword."""
+def euclidean_score(code: CodeSpec, word: int, r) -> float:
+    """Squared Euclidean distance between r and the BPSK image of a word,
+    an int below 2^n."""
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (code.n,) or not np.all(np.isfinite(r)):
         raise ValueError(f"soft vector must be {code.n} finite values, got shape {r.shape}")
-    s = 1.0 - 2.0 * int_to_bits(word.value, code.n).astype(np.float64)
-    return float(np.sum((r - s) ** 2))
+    return float(np.sum((r - bpsk(int_to_bits(word, code.n))) ** 2))

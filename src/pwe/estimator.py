@@ -23,7 +23,6 @@ import numpy as np
 
 from .bounds import q_function
 from .codes import CodeSpec, codewords_of_weight
-from .gf2 import BitWord
 from .harvest import HarvestConfig, WeightClassList, _trial_block, cyclic_orbit
 # impulse_trial is not called here; bench/spans.py traces it at this site.
 from .harvest import impulse_trial  # noqa: F401
@@ -35,7 +34,6 @@ __all__ = [
     "ImpulseSampler",
     "SamplerError",
     "beta_from_mu",
-    "sample_weight_w",
     "recovery_rate_once",
     "estimate_recovery",
     "estimate_pwe",
@@ -167,13 +165,6 @@ class ImpulseSampler:
         return orbit[int(rng.integers(len(orbit)))]
 
 
-def sample_weight_w(sampler, code: CodeSpec, w: int, rng: np.random.Generator) -> BitWord:
-    """Draw one random codeword of weight w through the given sampler."""
-    if sampler.code is not code:
-        raise ValueError("sampler is bound to a different code")
-    return BitWord(code.n, sampler.draw(w, rng))
-
-
 def recovery_rate_once(
     L_w: WeightClassList, sampler, M: int, rng: np.random.Generator
 ) -> float:
@@ -203,6 +194,8 @@ def estimate_recovery(
     """Repeat the rate measurement q times and form confidence intervals."""
     if q < 2:
         raise ValueError("q must be at least 2")
+    if sampler.code != L_w.code:
+        raise ValueError("sampler is bound to a different code")
     beta = beta_from_mu(mu)
     rates = [recovery_rate_once(L_w, sampler, M, child) for child in rng.spawn(q)]
     r_bar = sum(rates) / q

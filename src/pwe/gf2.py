@@ -24,7 +24,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BitWord:
-    """A fixed-length binary word; bit i of ``value`` is coordinate i."""
+    """A fixed-length binary word; bit i of ``value`` is coordinate i.
+
+    Words are ints below 2^n everywhere but at ``codes.encode`` and the
+    one-row decoders, which take and return this wrapper."""
 
     length: int
     value: int
@@ -34,41 +37,6 @@ class BitWord:
             raise ValueError("length must be non-negative")
         if not 0 <= self.value < (1 << self.length):
             raise ValueError(f"value out of range for length {self.length}")
-
-    @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitWord":
-        value = 0
-        n = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            value |= b << n
-            n += 1
-        return cls(n, value)
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(f"bit index {i} outside [0, {self.length})")
-        return (self.value >> i) & 1
-
-    def bits(self) -> list[int]:
-        return [(self.value >> i) & 1 for i in range(self.length)]
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def __xor__(self, other: "BitWord") -> "BitWord":
-        if self.length != other.length:
-            raise ValueError("length mismatch in XOR")
-        return BitWord(self.length, self.value ^ other.value)
-
-    def to_hex(self) -> str:
-        """Lowercase hex, ceil(length/4) digits, most significant digit first."""
-        ndigits = max(1, (self.length + 3) // 4)
-        return format(self.value, f"0{ndigits}x")
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits())
 
 
 @dataclass(frozen=True)

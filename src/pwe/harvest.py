@@ -20,7 +20,6 @@ from .codes import CodeSpec, contains
 # encode is not called here; bench/spans.py traces it at this site.
 from .codes import encode  # noqa: F401
 from .decoders import DecoderKind, decode_batch
-from .gf2 import BitWord
 from .sim import noise_sigma
 
 __all__ = [
@@ -87,29 +86,26 @@ class WeightClassList:
     w: int
     _members: set[int] = field(default_factory=set)
 
-    def add(self, word: BitWord) -> bool:
-        """Check and insert a word; returns True if it was new."""
-        if word.value in self._members:
+    def add(self, word: int) -> bool:
+        """Check and insert a word, an int below 2^n; returns True if it
+        was new."""
+        if word in self._members:
             return False
-        if word.weight() != self.w:
-            raise ValueError(f"word of weight {word.weight()} offered to L_{self.w}")
+        if word.bit_count() != self.w:
+            raise ValueError(f"word of weight {word.bit_count()} offered to L_{self.w}")
         if not contains(self.code, word):
             raise ValueError("non-codeword offered to a weight-class list")
-        self._members.add(word.value)
+        self._members.add(word)
         return True
 
     def __len__(self) -> int:
         return len(self._members)
 
-    def __contains__(self, word) -> bool:
-        value = word.value if isinstance(word, BitWord) else int(word)
-        return value in self._members
+    def __contains__(self, word: int) -> bool:
+        return word in self._members
 
     def values(self) -> set[int]:
         return set(self._members)
-
-    def words(self) -> list[BitWord]:
-        return [BitWord(self.code.n, v) for v in sorted(self._members)]
 
 
 def _trial_block(code: CodeSpec, config: HarvestConfig, rng: np.random.Generator,
@@ -172,11 +168,10 @@ def _sweep(code: CodeSpec, config: HarvestConfig, sent: np.ndarray, tx: np.ndarr
 
 def impulse_trial(
     code: CodeSpec, config: HarvestConfig, rng: np.random.Generator
-) -> Optional[BitWord]:
+) -> Optional[int]:
     """One perturb-and-decode trial, a block of one (see _trial_block);
     returns the difference codeword or None."""
-    c3 = _trial_block(code, config, rng, 1)[0]
-    return BitWord(code.n, c3) if c3 else None
+    return _trial_block(code, config, rng, 1)[0] or None
 
 
 def cyclic_orbit(code: CodeSpec, word: int) -> set[int]:

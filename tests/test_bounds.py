@@ -1,7 +1,6 @@
 """Union bounds and curve containers."""
 
 import dataclasses
-import math
 
 import pytest
 
@@ -10,7 +9,6 @@ from pwe.bounds import (
     RateContext,
     bound_curve,
     q_function,
-    sidelnikov_approx,
     truncated_bound,
     union_bound_bit,
     union_bound_word,
@@ -70,13 +68,6 @@ def test_truncated_bound_brackets_the_estimate():
         value, lo, hi = truncated_bound(pwe, CTX, db, with_interval=True)
         assert lo <= value <= hi
         assert truncated_bound(pwe, CTX, db) == value
-
-
-def test_sidelnikov_formula():
-    assert sidelnikov_approx(7, 13, 27) == pytest.approx(
-        math.comb(127, 27) * 2.0**-91)
-    with pytest.raises(ValueError):
-        sidelnikov_approx(7, 13, 128)
 
 
 def test_bound_curve_kinds_and_grid_validation():

@@ -14,17 +14,13 @@ from pwe.codes import (
     cyclic_code,
     encode,
     exact_weight_distribution,
-    exhaustive_limit,
     extend_with_parity,
-    extract_info,
     get_code,
-    info_positions,
-    minimum_distance_exhaustive,
     qr_generator_polynomial,
     quadratic_residues,
     shorten,
 )
-from pwe.bitops import ints_to_bits
+from pwe.bitops import bits_to_ints, ints_to_bits
 from pwe.gf2 import BitWord, GF2Matrix, GF2Poly, poly_mod, rref, x_n_plus_1
 
 HAMMING_WE = {0: 1, 3: 7, 4: 7, 7: 1}
@@ -33,6 +29,11 @@ HAMMING_WE = {0: 1, 3: 7, 4: 7, 7: 1}
 def naive_codewords(code):
     """Independent oracle: the encoding of every information word."""
     return [encode(code, BitWord(code.k, m)).value for m in range(2**code.k)]
+
+
+def random_ints(rng, count, n):
+    """count random words of n bits, drawn as rows of bits."""
+    return bits_to_ints(rng.integers(0, 2, size=(count, n), dtype=np.uint8))
 
 
 def wide_code():
@@ -58,9 +59,9 @@ def test_weight_lookup_does_not_rebuild_the_dict(monkeypatch):
 
 
 def test_minimum_distances():
-    assert minimum_distance_exhaustive(get_code("hamming-7-4")) == 3
-    assert minimum_distance_exhaustive(get_code("golay-24-12")) == 8
-    assert minimum_distance_exhaustive(get_code("qr-23-12")) == 7
+    for name, d in (("hamming-7-4", 3), ("golay-24-12", 8), ("qr-23-12", 7)):
+        counts = exact_weight_distribution(get_code(name)).counts
+        assert min(w for w, _ in counts if w) == d, name
 
 
 def test_catalog_rank_and_membership():
@@ -68,19 +69,20 @@ def test_catalog_rank_and_membership():
         _, rank, _ = rref(code.generator_matrix)
         assert rank == code.k, name
         for row in code.generator_matrix.rows:
-            assert contains(code, BitWord(code.n, row)), name
+            assert contains(code, row), name
 
 
 def test_encode_extract_roundtrip():
+    # encode -> contains -> the information bits read back at the
+    # information positions give the word that was encoded.
     rng = np.random.default_rng(21)
     for name in ("hamming-7-4", "golay-24-12", "bch-127-50"):
         code = get_code(name)
-        for _ in range(50):
-            bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-            info = BitWord.from_bits(bits.tolist())
-            word = encode(code, info)
-            assert contains(code, word)
-            assert extract_info(code, word) == info
+        pos = code.systematic.info_positions
+        for info in random_ints(rng, 50, code.k):
+            word = encode(code, BitWord(code.k, info)).value
+            assert contains(code, word), name
+            assert sum((word >> p & 1) << i for i, p in enumerate(pos)) == info, name
 
 
 def in_span(code, word):
@@ -92,20 +94,17 @@ def test_membership_rejects_non_codewords():
     code = get_code("hamming-7-4")
     members = set(naive_codewords(code))
     for value in range(2**7):
-        assert contains(code, BitWord(7, value)) == (value in members)
         assert contains(code, value) == (value in members)
-    for bad in (BitWord(8, 0), 1 << 7, -1):
+    for bad in (1 << 7, -1):
         with pytest.raises(ValueError):
             contains(code, bad)
     # On every catalog code: random codewords, every one-bit flip of them,
     # and random words, against the row rule and the rank of G.
     rng = np.random.default_rng(25)
     for name, code in catalog().items():
-        codewords = [encode(code, BitWord.from_bits(rng.integers(0, 2, size=code.k).tolist())).value
-                     for _ in range(2)]
+        codewords = [encode(code, BitWord(code.k, v)).value for v in random_ints(rng, 2, code.k)]
         flips = [w ^ (1 << i) for w in codewords for i in range(code.n)]
-        randoms = [BitWord.from_bits(rng.integers(0, 2, size=code.n).tolist()).value
-                   for _ in range(20)]
+        randoms = random_ints(rng, 20, code.n)
         words = codewords + flips + randoms
         member = [contains(code, w) for w in words]
         assert member[:len(codewords) + len(flips)] == [True] * len(codewords) + [False] * len(flips)
@@ -158,7 +157,7 @@ def test_codewords_of_weight_agrees_with_distribution():
     wd = exact_weight_distribution(code)
     words = codewords_of_weight(code, 8)
     assert len(words) == wd[8] == 759
-    assert all(BitWord(24, v).weight() == 8 for v in words)
+    assert all(v.bit_count() == 8 for v in words)
 
 
 def test_cyclic_code_requires_divisor():
@@ -170,10 +169,9 @@ def test_cyclic_closure_under_rotation():
     code = get_code("qr-23-12")
     rng = np.random.default_rng(22)
     for _ in range(100):
-        word = encode(code, BitWord(code.k, int(rng.integers(0, 2**code.k))))
-        v = word.value
+        v = encode(code, BitWord(code.k, int(rng.integers(0, 2**code.k)))).value
         rotated = ((v << 1) | (v >> (code.n - 1))) & ((1 << code.n) - 1)
-        assert contains(code, BitWord(code.n, rotated))
+        assert contains(code, rotated)
 
 
 def test_shortened_words_lift_into_parent():
@@ -183,10 +181,8 @@ def test_shortened_words_lift_into_parent():
     parent = code.parent
     assert (parent.n - code.n, parent.k - code.k) == (125, 125)
     rng = np.random.default_rng(23)
-    for _ in range(200):
-        bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        word = encode(code, BitWord.from_bits(bits.tolist()))
-        assert contains(parent, BitWord(parent.n, word.value))
+    for info in random_ints(rng, 200, code.k):
+        assert contains(parent, encode(code, BitWord(code.k, info)).value)
 
 
 def test_shorten_dimensions():
@@ -225,25 +221,28 @@ def test_bch_63_39_generator_constant():
 
 
 def test_info_positions_are_systematic():
+    # Encoding is systematic: a codeword carries its information word at the
+    # information positions, bit i of the word at position i.
     rng = np.random.default_rng(24)
     for name, code in catalog().items():
-        pos = info_positions(code)
+        pos = code.systematic.info_positions
         assert len(pos) == len(set(pos)) == code.k, name
         # The identity on the information set, then random combinations.
-        for i in range(code.k):
-            unit = encode(code, BitWord(code.k, 1 << i))
-            assert [unit.bit(p) for p in pos] == BitWord(code.k, 1 << i).bits(), name
-        for _ in range(20):
-            bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-            info = BitWord.from_bits(bits.tolist())
-            word = encode(code, info)
-            assert [word.bit(p) for p in pos] == info.bits(), name
+        for info in [1 << i for i in range(code.k)] + random_ints(rng, 20, code.k):
+            word = encode(code, BitWord(code.k, info)).value
+            assert contains(code, word), name
+            assert sum((word >> p & 1) << i for i, p in enumerate(pos)) == info, name
 
 
-def test_exhaustive_limit_env_override(monkeypatch):
-    monkeypatch.setenv("PWE_EXHAUSTIVE_LIMIT", "12")
-    assert exhaustive_limit() == 12
-    with pytest.raises(ValueError):
-        exact_weight_distribution(get_code("qr-47-24"))
-    monkeypatch.delenv("PWE_EXHAUSTIVE_LIMIT")
-    assert exhaustive_limit() == 26
+class NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} called: the enumeration started")
+
+
+def test_exhaustive_cap_refuses_qr_71_36(monkeypatch):
+    code = get_code("qr-71-36")  # k = 36
+    monkeypatch.setattr("pwe.codes.np", NoNumpy())
+    with pytest.raises(ValueError, match="k <= 26"):
+        exact_weight_distribution(code)
+    with pytest.raises(ValueError, match="k <= 26"):
+        codewords_of_weight(code, 11)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pwe import decoders
-from pwe.bitops import bpsk, int_to_bits, ints_to_bits
+from pwe.bitops import bits_to_ints, bpsk, int_to_bits, ints_to_bits
 from pwe.codes import contains, encode, get_code, shorten
 from pwe.decoders import (
     BLOCK_ELIMINATION_MIN,
@@ -58,7 +58,7 @@ def test_decoder_outputs_are_members():
             for kind in (DecoderKind("mld"), DecoderKind("osd", 2)):
                 word = decode(kind, code, r)
                 assert word.length == code.n
-                assert contains(code, word)
+                assert contains(code, word.value)
 
 
 def test_mld_optimality_against_exhaustive_oracle():
@@ -68,7 +68,7 @@ def test_mld_optimality_against_exhaustive_oracle():
                  shorten(get_code("bch-127-71"), 60)):
         for _ in range(100):
             r = rng.normal(size=code.n)
-            word = mld_decode(code, r)
+            word = mld_decode(code, r).value
             best_d = brute_force_mld(code, r)
             assert euclidean_score(code, word, r) == pytest.approx(best_d, abs=1e-9)
 
@@ -78,7 +78,7 @@ def test_osd_score_non_increasing_in_order():
     code = get_code("golay-24-12")
     for _ in range(30):
         r = rng.normal(size=code.n)
-        scores = [euclidean_score(code, osd_decode(code, r, order), r)
+        scores = [euclidean_score(code, osd_decode(code, r, order).value, r)
                   for order in range(5)]
         assert all(a >= b - 1e-12 for a, b in zip(scores, scores[1:]))
 
@@ -89,8 +89,8 @@ def test_osd_full_order_equals_mld():
         code = get_code(name)
         for _ in range(100):
             r = rng.normal(size=code.n)
-            d_mld = euclidean_score(code, mld_decode(code, r), r)
-            d_osd = euclidean_score(code, osd_decode(code, r, code.k), r)
+            d_mld = euclidean_score(code, mld_decode(code, r).value, r)
+            d_osd = euclidean_score(code, osd_decode(code, r, code.k).value, r)
             assert d_osd == pytest.approx(d_mld, abs=1e-9)
 
 
@@ -157,13 +157,12 @@ def osd_corpus_digest() -> str:
         for order in orders:
             rng = np.random.default_rng([37, code.n, order])
             for _ in range(count):
-                bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-                word = encode(code, BitWord.from_bits(bits.tolist()))
-                tx = bpsk(int_to_bits(word.value, code.n))
+                tx = bpsk(int_to_bits(random_codeword(code, rng), code.n))
                 r = tx + sigma * rng.normal(size=code.n)
                 pos = int(rng.integers(code.n))
                 r[pos] -= (code.d_known - 1) * np.sign(tx[pos])
-                h.update(f"{name}:{order}:{osd_decode(code, r, order).to_hex()};".encode())
+                word = osd_decode(code, r, order).value
+                h.update(f"{name}:{order}:{word:0{(code.n + 3) // 4}x};".encode())
     return h.hexdigest()
 
 
@@ -257,8 +256,8 @@ def tie_heavy(code, rng, count):
 
 
 def random_codeword(code, rng):
-    bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-    return encode(code, BitWord.from_bits(bits.tolist())).value
+    bits = rng.integers(0, 2, size=(1, code.k), dtype=np.uint8)
+    return encode(code, BitWord(code.k, bits_to_ints(bits)[0])).value
 
 
 # (code, orders, harvest-like vectors, tie-heavy rounds of 3 vectors each).
@@ -294,14 +293,14 @@ def test_mld_breaks_ties_lexicographically(name, count):
     received = rng.integers(-2, 3, size=(count, code.n)) / 2.0
     rows = decode_batch(DecoderKind("mld"), code, received)
     tied = 0
-    for r, row in zip(received, rows):
+    for r, row in zip(received, bits_to_ints(rows)):
         scores = bits @ r
         best = np.flatnonzero(scores == scores.min())
         tied += len(best) > 1
         # The smallest (b_0, b_1, ...) sequence among the minimal codewords.
         want = words[min(best, key=lambda i: tuple(bits[i]))]
         assert mld_decode(code, r).value == want
-        assert BitWord.from_bits(row.tolist()).value == want
+        assert row == want
     assert tied > count // 4
 
 
@@ -420,7 +419,7 @@ def test_mld_hard_decision_codewords_skip_float32(monkeypatch):
     seen = rows_to_float64(monkeypatch)
     assert (decode_batch(DecoderKind("mld"), code, block) == want).all()
     hard = (block < 0).astype(np.uint8)
-    member = np.array([contains(code, BitWord.from_bits(row.tolist())) for row in hard])
+    member = np.array([contains(code, v) for v in bits_to_ints(hard)])
     assert member.sum() > 100 and not member.all()
     assert {tuple(r) for r in block[~member]} <= set(seen)
     assert not {tuple(r) for r in block[member & (np.abs(block).min(axis=1) > 1e-3)]} & set(seen)
@@ -490,8 +489,8 @@ def test_both_paths_reprocess_by_bands(monkeypatch):
 
     monkeypatch.setattr(decoders, "_bands", masked)
     assert (decode_batch(DecoderKind("osd", 3), code, received) == order1).all()
-    for r, row in zip(received[:3], order1):
-        assert osd_decode(code, r, 3).value == BitWord.from_bits(row.tolist()).value
+    for r, row in zip(received[:3], bits_to_ints(order1)):
+        assert osd_decode(code, r, 3).value == row
 
 
 def test_osd_refuses_oversized_tables_before_allocating():
@@ -508,8 +507,8 @@ def test_osd_refuses_oversized_tables_before_allocating():
     assert peak < 4 << 20
     shortened = get_code("bch-130-66")
     received = np.array(list(harvest_like(shortened, np.random.default_rng(43), 4)))
-    for row in decode_batch(DecoderKind("osd", 3), shortened, received):
-        assert contains(shortened, BitWord.from_bits(row.tolist()))
+    for word in bits_to_ints(decode_batch(DecoderKind("osd", 3), shortened, received)):
+        assert contains(shortened, word)
 
 
 @pytest.mark.parametrize("kind", [DecoderKind("mld"), DecoderKind("osd", 2)], ids=str)
@@ -556,8 +555,8 @@ def test_decode_batch_rows_equal_one_row_decodes(name, kinds):
         one = np.array([decode_batch(kind, code, r[np.newaxis])[0] for r in received])
         assert (decode_batch(kind, code, received) == one).all(), text
         assert (decode_batch(kind, code, received[:small]) == one[:small]).all(), text
-        for r, row in zip(received[:4], one):
-            assert decode(kind, code, r).value == BitWord.from_bits(row.tolist()).value
+        for r, row in zip(received[:4], bits_to_ints(one)):
+            assert decode(kind, code, r).value == row
 
 
 @pytest.mark.parametrize("name", ["bch-127-50", "bch-130-66", "golay-24-12"])
@@ -569,8 +568,7 @@ def test_block_elimination_equals_gf2_rref(name):
     ranked = np.take(code.systematic.generator_bits, rank_order, axis=1).transpose(1, 0, 2)
     R_bits, pivots = _eliminate_block(ranked)
     for b in range(len(received)):
-        rows = tuple(BitWord.from_bits(row.tolist()).value for row in ranked[b])
-        R, rank, want = rref(GF2Matrix(rows, code.n))
+        R, rank, want = rref(GF2Matrix(tuple(bits_to_ints(ranked[b])), code.n))
         assert rank == code.k
         assert pivots[b].tolist() == want
         assert (R_bits[b] == ints_to_bits(R.rows, code.n)).all()

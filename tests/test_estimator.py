@@ -20,16 +20,14 @@ from pwe.estimator import (
     estimate_recovery,
     interval_from_stats,
     recovery_rate_once,
-    sample_weight_w,
 )
-from pwe.gf2 import BitWord
 from pwe.harvest import HarvestConfig, WeightClassList, cyclic_orbit, impulse_trial
 
 
 def full_list(code, w):
     lst = WeightClassList(code, w)
     for v in codewords_of_weight(code, w):
-        lst.add(BitWord(code.n, v))
+        lst.add(v)
     return lst
 
 
@@ -39,7 +37,7 @@ def partial_list(code, w, size, seed):
     chosen = rng.choice(len(values), size=size, replace=False)
     lst = WeightClassList(code, w)
     for i in chosen:
-        lst.add(BitWord(code.n, values[int(i)]))
+        lst.add(values[int(i)])
     return lst
 
 
@@ -57,7 +55,7 @@ def test_exact_sampler_covers_the_class():
     code = get_code("hamming-7-4")
     sampler = ExactUniformSampler(code)
     rng = np.random.default_rng(61)
-    seen = {sample_weight_w(sampler, code, 3, rng).value for _ in range(300)}
+    seen = {sampler.draw(3, rng) for _ in range(300)}
     assert seen == set(codewords_of_weight(code, 3))
     with pytest.raises(SamplerError):
         sampler.draw(5, rng)  # Hamming(7,4) has no weight-5 words
@@ -158,8 +156,7 @@ def test_impulse_sampler_draws_requested_weight():
     sampler = ImpulseSampler(code, cfg, budget=2000)
     rng = np.random.default_rng(68)
     for _ in range(5):
-        word = sample_weight_w(sampler, code, 8, rng)
-        assert word.weight() == 8
+        assert sampler.draw(8, rng).bit_count() == 8
 
 
 def mld_config(snr_grid_db=(0.0, 1.0, 2.0, 3.0)):
@@ -203,16 +200,16 @@ def test_impulse_sampler_uses_each_queued_find_once(monkeypatch):
     sampler = ImpulseSampler(code, mld_config(NOISY), budget=2000)
     rng = np.random.default_rng(69)
     for _ in range(20):
-        assert sample_weight_w(sampler, code, 8, rng).weight() == 8
+        assert sampler.draw(8, rng).bit_count() == 8
     stocked = [c for c in trials if c and c.bit_count() == 12]
     assert stocked, "the weight-8 refills found no weight-12 word"
     decoded = sum(rows)
     for _ in stocked:
-        assert sample_weight_w(sampler, code, 12, rng).weight() == 12
+        assert sampler.draw(12, rng).bit_count() == 12
     assert sum(rows) == decoded  # no trial ran: the queue served them all
     assert all(a is b for a, b in zip(handed_out[20:], stocked, strict=True))
     for _ in range(5):
-        sample_weight_w(sampler, code, 12, rng)
+        sampler.draw(12, rng)
     assert sum(rows) > decoded and sum(rows) == len(trials)
 
     trial_of = {id(c): t for t, c in enumerate(trials) if c}
@@ -249,9 +246,9 @@ def sequential_draw(code, config, w, rng, budget=5000):
     time until one yields weight w, every other find discarded."""
     for _ in range(budget):
         c3 = impulse_trial(code, config, rng)
-        if c3 is None or c3.weight() != w:
+        if c3 is None or c3.bit_count() != w:
             continue
-        orbit = sorted(cyclic_orbit(code, c3.value))
+        orbit = sorted(cyclic_orbit(code, c3))
         return orbit[int(rng.integers(len(orbit)))]
     raise SamplerError(f"no weight-{w} codeword in {budget} trials")
 
@@ -278,5 +275,6 @@ def test_sampler_code_binding():
     code = get_code("hamming-7-4")
     other = get_code("golay-24-12")
     sampler = ExactUniformSampler(code)
-    with pytest.raises(ValueError):
-        sample_weight_w(sampler, other, 8, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="different code"):
+        estimate_recovery(full_list(other, 8), sampler, M=5, q=10, mu=0.99,
+                          rng=np.random.default_rng(0))

@@ -2,14 +2,12 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from pwe import fileio
 from pwe.bounds import BoundCurve
 from pwe.codes import codewords_of_weight, get_code
 from pwe.estimator import PartialWeightEnumerator, interval_from_stats
-from pwe.gf2 import BitWord
 from pwe.harvest import WeightClassList
 
 
@@ -17,7 +15,7 @@ def golay_list(size=20):
     code = get_code("golay-24-12")
     lst = WeightClassList(code, 8)
     for v in codewords_of_weight(code, 8)[:size]:
-        lst.add(BitWord(24, v))
+        lst.add(v)
     return code, lst
 
 
@@ -148,6 +146,11 @@ def test_manifest_contents(tmp_path):
     assert data["finished"] >= data["started"]
 
 
+def to_hex(code, word: int) -> str:
+    """A word as a list file holds it: ceil(n/4) lowercase hex digits."""
+    return f"{word:0{(code.n + 3) // 4}x}"
+
+
 def write_raw_list(path, code, w, hex_words):
     path.write_text(f"# code={code.name} n={code.n} w={w} count={len(hex_words)}\n"
                     + "".join(h + "\n" for h in hex_words))
@@ -155,24 +158,25 @@ def write_raw_list(path, code, w, hex_words):
 
 def test_weight_class_rejects_non_codeword(tmp_path):
     code, lst = golay_list()
-    good = [word.to_hex() for word in lst.words()]
+    words = sorted(lst.values())
+    good = [to_hex(code, v) for v in words]
     # Two flipped bits keep the weight at 8 but leave the code (d = 8).
-    v = lst.words()[3].value
+    v = words[3]
     low = v & -v
     zero = ~v & (v + 1)
-    bad = BitWord(24, v ^ low ^ zero)
-    assert bad.weight() == 8
+    bad = v ^ low ^ zero
+    assert bad.bit_count() == 8
     path = tmp_path / "x.txt"
-    write_raw_list(path, code, 8, good[:3] + [bad.to_hex()] + good[3:])
+    write_raw_list(path, code, 8, good[:3] + [to_hex(code, bad)] + good[3:])
     with pytest.raises(ValueError):
         fileio.read_weight_class(path, code)
 
 
 def test_weight_class_rejects_wrong_weight(tmp_path):
     code, lst = golay_list()
-    twelve = BitWord(24, codewords_of_weight(code, 12)[0])
+    twelve = codewords_of_weight(code, 12)[0]
     path = tmp_path / "x.txt"
-    write_raw_list(path, code, 8, [word.to_hex() for word in lst.words()] + [twelve.to_hex()])
+    write_raw_list(path, code, 8, [to_hex(code, v) for v in sorted(lst.values()) + [twelve]])
     with pytest.raises(ValueError):
         fileio.read_weight_class(path, code)
 
@@ -180,8 +184,9 @@ def test_weight_class_rejects_wrong_weight(tmp_path):
 def test_weight_class_rejects_out_of_range_word(tmp_path):
     code, lst = golay_list()
     # 2^24 plus a weight-8 codeword: cut to its low n bits it would pass.
-    big = format((1 << 24) | lst.words()[0].value, "x")
+    words = sorted(lst.values())
+    big = format((1 << 24) | words[0], "x")
     path = tmp_path / "x.txt"
-    write_raw_list(path, code, 8, [word.to_hex() for word in lst.words()[1:]] + [big])
+    write_raw_list(path, code, 8, [to_hex(code, v) for v in words[1:]] + [big])
     with pytest.raises(ValueError):
         fileio.read_weight_class(path, code)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pwe.bitops import bpsk, int_to_bits
+from pwe.bitops import bits_to_ints, bpsk, int_to_bits
 from pwe.codes import catalog, codewords_of_weight, contains, encode, get_code
 from pwe.decoders import DecoderKind, decode, parse_decoder
 from pwe.gf2 import BitWord
@@ -17,6 +17,11 @@ from pwe.harvest import (
     merge_lists,
 )
 from pwe.sim import noise_sigma
+
+
+def encode_bits(code, bits) -> int:
+    """The codeword, as an int, of an information word given as a bit row."""
+    return encode(code, BitWord(code.k, bits_to_ints(bits[np.newaxis])[0])).value
 
 
 def mld_cfg(trials, seed, **kw):
@@ -43,18 +48,22 @@ def test_config_validation():
 def test_weight_class_list_validates_members():
     code = get_code("hamming-7-4")
     lst = WeightClassList(code, 3)
-    word = BitWord(7, codewords_of_weight(code, 3)[0])
+    word = codewords_of_weight(code, 3)[0]
     assert lst.add(word)
     assert not lst.add(word)  # duplicate
     assert word in lst and len(lst) == 1
     with pytest.raises(ValueError):
-        lst.add(BitWord(7, codewords_of_weight(code, 4)[0]))  # wrong weight
+        lst.add(codewords_of_weight(code, 4)[0])  # wrong weight
     members = set(codewords_of_weight(code, 3))
     impostor = next(v for v in range(1, 1 << 7)
                     if v.bit_count() == 3 and v not in members)
     with pytest.raises(ValueError):
-        lst.add(BitWord(7, impostor))  # right weight, not a codeword
-    assert lst.words() == [word]
+        lst.add(impostor)  # right weight, not a codeword
+    # Weight 3, but no word of 7 bits: at or above 2^7, and negative.
+    for outside in (0b11 | 1 << 7, -word):
+        with pytest.raises(ValueError, match="does not fit"):
+            lst.add(outside)
+    assert lst.values() == {word}
 
 
 def test_impulse_trial_yields_codeword_difference_or_none():
@@ -66,16 +75,16 @@ def test_impulse_trial_yields_codeword_difference_or_none():
             c3 = impulse_trial(code, cfg, np.random.default_rng([51, t]))
             if c3 is not None:
                 assert contains(code, c3)
-                assert c3.weight() > 0
+                assert c3 > 0
                 found += 1
         assert found > 0, mode
 
 
 def test_cyclic_orbit_closure_and_size():
     code = get_code("qr-23-12")
-    word = BitWord(23, codewords_of_weight(code, 7)[0])
-    orbit = cyclic_orbit(code, word.value)
-    assert word.value in orbit
+    word = codewords_of_weight(code, 7)[0]
+    orbit = cyclic_orbit(code, word)
+    assert word in orbit
     assert len(orbit) == code.n  # 23 is prime: no weight-7 word is shift-invariant
     for image in orbit:
         assert contains(code, image)
@@ -88,21 +97,20 @@ def test_shortened_orbit_stays_in_code(name):
     code = get_code(name)
     rng = np.random.default_rng(52)
     for _ in range(10):
-        bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        word = encode(code, BitWord.from_bits(bits.tolist()))
-        for image in cyclic_orbit(code, word.value):
+        word = encode_bits(code, rng.integers(0, 2, size=code.k, dtype=np.uint8))
+        for image in cyclic_orbit(code, word):
             assert contains(code, image)
-            assert image.bit_count() == word.weight()
+            assert image.bit_count() == word.bit_count()
 
 
-def lift_rotate_project_orbit(code, word: BitWord) -> set[int]:
+def lift_rotate_project_orbit(code, word: int) -> set[int]:
     """Reference orbit of a shortened word: insert zeros at the removed
     parent coordinates, rotate in the parent, keep the rotations that vanish
     there, and drop those coordinates again."""
     parent = code.parent
     removed = set(range(code.n, parent.n))
     kept = [p for p in range(parent.n) if p not in removed]
-    lifted = sum(word.bit(src) << dst for src, dst in enumerate(kept))
+    lifted = sum((word >> src & 1) << dst for src, dst in enumerate(kept))
     mask = (1 << parent.n) - 1
     orbit = set()
     for s in range(parent.n):
@@ -117,19 +125,18 @@ def test_shortened_orbit_matches_lift_rotate_project(name):
     code = get_code(name)
     rng = np.random.default_rng(53)
     for _ in range(10):
-        bits = rng.integers(0, 2, size=code.k, dtype=np.uint8)
-        word = encode(code, BitWord.from_bits(bits.tolist()))
-        assert cyclic_orbit(code, word.value) == lift_rotate_project_orbit(code, word)
-    low = BitWord(code.n, code.generator_matrix.rows[0])  # g(x): many images
-    orbit = cyclic_orbit(code, low.value)
+        word = encode_bits(code, rng.integers(0, 2, size=code.k, dtype=np.uint8))
+        assert cyclic_orbit(code, word) == lift_rotate_project_orbit(code, word)
+    low = code.generator_matrix.rows[0]  # g(x): many images
+    orbit = cyclic_orbit(code, low)
     assert len(orbit) > 1
     assert orbit == lift_rotate_project_orbit(code, low)
 
 
 def test_non_cyclic_orbit_is_singleton():
     code = get_code("golay-24-12")  # extended, not cyclic, no parent link
-    word = BitWord(24, codewords_of_weight(code, 8)[0])
-    assert cyclic_orbit(code, word.value) == {word.value}
+    word = codewords_of_weight(code, 8)[0]
+    assert cyclic_orbit(code, word) == {word}
 
 
 def test_harvest_determinism_and_monotonicity():
@@ -159,17 +166,17 @@ def test_harvest_is_a_prefix_of_longer_harvests(mode):
     assert _trial_block(code, cfg, np.random.default_rng(60), 512, 100) == full[:100]
 
 
-def sequential_sweep(code, config, c1: BitWord, pos: int) -> BitWord:
+def sequential_sweep(code, config, c1: int, pos: int) -> int:
     """single_impulse_sweep one trial at a time, as the reference: push
     coordinate pos toward the opposite sign by 1, 1.5, ... up to d + 2 and
     decode after each step, until the decision leaves the sent word."""
-    tx = bpsk(int_to_bits(c1.value, code.n))
+    tx = bpsk(int_to_bits(c1, code.n))
     cap = float((code.d_known or code.n) + 2)
     c2, amp = c1, 1.0
     while amp <= cap:
         r = tx.copy()
         r[pos] = tx[pos] - amp * np.sign(tx[pos])
-        c2 = decode(config.decoder, code, r)
+        c2 = decode(config.decoder, code, r).value
         if c2 != c1:
             break
         amp += 0.5
@@ -180,14 +187,13 @@ def reference_trials(code, config, rng, size) -> list[int]:
     """The trials of _trial_block built row by row from the same draws:
     encode, BPSK, noise, impulse, decode, XOR."""
     if config.transmit_mode == "all_zero":
-        sent = [BitWord(code.n, 0)] * size
+        sent = [0] * size
     else:
         info = rng.integers(0, 2, size=(size, code.k), dtype=np.uint8)
-        sent = [encode(code, BitWord.from_bits(row.tolist())) for row in info]
+        sent = [encode_bits(code, row) for row in info]
     if config.impulse_mode == "single_impulse_sweep":
         pos = rng.integers(code.n, size=size)
-        return [(c1 ^ sequential_sweep(code, config, c1, int(p))).value
-                for c1, p in zip(sent, pos)]
+        return [c1 ^ sequential_sweep(code, config, c1, int(p)) for c1, p in zip(sent, pos)]
     snr = rng.integers(len(config.snr_grid_db), size=size)
     noise = rng.normal(size=(size, code.n))
     if config.impulse_mode == "noisy_impulse":
@@ -195,11 +201,11 @@ def reference_trials(code, config, rng, size) -> list[int]:
         amplitude = config.impulse_amplitude or code.d_known - 1
     finds = []
     for t, c1 in enumerate(sent):
-        tx = bpsk(int_to_bits(c1.value, code.n))
+        tx = bpsk(int_to_bits(c1, code.n))
         r = tx + noise_sigma(config.snr_grid_db[snr[t]], code.rate) * noise[t]
         if config.impulse_mode == "noisy_impulse":
             r[pos[t]] -= amplitude * np.sign(tx[pos[t]])
-        finds.append((c1 ^ decode(config.decoder, code, r)).value)
+        finds.append(c1 ^ decode(config.decoder, code, r).value)
     return finds
 
 
@@ -236,8 +242,8 @@ def test_harvest_respects_weight_window():
     code = get_code("golay-24-12")
     lists = harvest(code, mld_cfg(300, 54, weight_window=(8, 8)))
     assert set(lists) <= {8}
-    for word in lists[8].words():
-        assert word.weight() == 8 and contains(code, word)
+    for word in lists[8].values():
+        assert word.bit_count() == 8 and contains(code, word)
 
 
 def test_harvest_dynamic_window_tracks_minimum():
