@@ -5,12 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def int_to_bits(value: int, n: int) -> np.ndarray:
-    """LSB-first bit array of length n (uint8)."""
-    raw = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:n]
-
-
 def ints_to_bits(values, n: int) -> np.ndarray:
     """LSB-first bit rows (uint8, len(values) x n) of non-negative ints below 2^n."""
     nbytes = (n + 7) // 8

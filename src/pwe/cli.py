@@ -27,6 +27,7 @@ from .estimator import (
     ImpulseSampler,
     estimate_pwe,
 )
+from .gf2 import poly_exponents
 from .harvest import HarvestConfig, harvest, merge_lists
 from .sim import SimConfig, simulate_curve
 
@@ -80,7 +81,7 @@ def cmd_codes(args) -> int:
     print(f"d_known: {c.d_known}")
     print(f"cyclic: {c.is_cyclic}")
     if c.generator_poly is not None:
-        print(f"generator_poly_exponents: {','.join(map(str, c.generator_poly.exponents()))}")
+        print(f"generator_poly_exponents: {','.join(map(str, poly_exponents(c.generator_poly)))}")
     if c.parent is not None:
         print(f"parent: {c.parent.name} (removed {c.parent.n - c.n} coordinates)")
     return 0

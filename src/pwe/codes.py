@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .bitops import ints_to_bits
-from .gf2 import BitWord, GF2Matrix, GF2Poly, poly_gcd, poly_mod, rref, x_n_plus_1
+from .gf2 import BitWord, GF2Matrix, poly_divmod, poly_from_exponents, poly_gcd, rref
 
 # Largest k whose 2^k codewords may be enumerated, as MLD_MAX_K caps MLD's
 # codebook.
@@ -32,8 +32,8 @@ class CodeSpec:
     k: int
     generator_matrix: GF2Matrix
     d_known: Optional[int] = None
-    generator_poly: Optional[GF2Poly] = None
-    is_cyclic: bool = False
+    # Bit i is the coefficient of x^i, on cyclic codes and their shortenings.
+    generator_poly: Optional[int] = None
     # The cyclic code a shortened code was cut from; shortening removes the
     # parent's top parent.n - n coordinates.
     parent: Optional["CodeSpec"] = None
@@ -45,6 +45,11 @@ class CodeSpec:
     @property
     def rate(self) -> float:
         return self.k / self.n
+
+    @property
+    def is_cyclic(self) -> bool:
+        """A cyclic code has a generator polynomial and no parent."""
+        return self.generator_poly is not None and self.parent is None
 
     @functools.cached_property
     def systematic(self) -> "SystematicForm":
@@ -69,9 +74,6 @@ class WeightDistribution:
     def __getitem__(self, w: int) -> int:
         return next((a for v, a in self.counts if v == w), 0)
 
-    def total(self) -> int:
-        return sum(a for _, a in self.counts)
-
 
 # ---------------------------------------------------------------------------
 # Systematic form, in original coordinates
@@ -84,16 +86,16 @@ class SystematicForm(NamedTuple):
     positions, so it encodes systematically without moving any coordinate.
     """
 
-    generator: GF2Matrix  # R; row i has its pivot at info_positions[i]
+    rows: tuple[int, ...]  # R; row i has its pivot at info_positions[i]
     info_positions: tuple[int, ...]
     generator_bits: np.ndarray  # R as a k x n uint8 array
 
 
 def _systematic_form(G: GF2Matrix) -> SystematicForm:
-    R, rank, pivots = rref(G)
-    if rank != G.nrows:
-        raise ValueError(f"generator matrix is rank-deficient: rank {rank} < {G.nrows} rows")
-    bits = ints_to_bits(R.rows, G.ncols)
+    R, pivots = rref(G.rows, G.ncols)
+    if len(pivots) != G.nrows:
+        raise ValueError(f"generator matrix is rank-deficient: rank {len(pivots)} < {G.nrows}")
+    bits = ints_to_bits(R, G.ncols)
     bits.flags.writeable = False
     return SystematicForm(R, tuple(pivots), bits)
 
@@ -102,7 +104,11 @@ def encode(code: CodeSpec, info: BitWord) -> BitWord:
     """Systematic encoding of a k-bit information word."""
     if info.length != code.k:
         raise ValueError(f"information word length {info.length} != k = {code.k}")
-    return BitWord(code.n, code.systematic.generator.mul_vector(info.value))
+    v, word = info.value, 0
+    for i, r in enumerate(code.systematic.rows):
+        if v >> i & 1:
+            word ^= r
+    return BitWord(code.n, word)
 
 
 def contains(code: CodeSpec, word: int) -> bool:
@@ -113,7 +119,7 @@ def contains(code: CodeSpec, word: int) -> bool:
         raise ValueError(f"word {word:#x} does not fit in n = {code.n} bits")
     form = code.systematic
     reencoded = 0
-    for p, r in zip(form.info_positions, form.generator.rows):
+    for p, r in zip(form.info_positions, form.rows):
         if word >> p & 1:
             reencoded ^= r
     return reencoded == word
@@ -133,15 +139,15 @@ def codeword_rows(code: CodeSpec, bits: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def cyclic_code(
-    g: GF2Poly, n: int, name: Optional[str] = None, d_known: Optional[int] = None
+    g: int, n: int, name: Optional[str] = None, d_known: Optional[int] = None
 ) -> CodeSpec:
-    """Cyclic code of length n generated by g; rows are x^i·g(x)."""
-    if g.is_zero() or g.degree >= n:
+    """Cyclic code of length n generated by the polynomial g; rows are x^i·g(x)."""
+    if not 0 < g < 1 << n:
         raise ValueError("generator polynomial degree must lie in [0, n)")
-    if not poly_mod(x_n_plus_1(n), g).is_zero():
+    if poly_divmod(1 << n | 1, g)[1]:
         raise ValueError(f"g does not divide x^{n} + 1")
-    k = n - g.degree
-    rows = tuple(g.value << i for i in range(k))
+    k = n - g.bit_length() + 1
+    rows = tuple(g << i for i in range(k))
     return CodeSpec(
         name=name or f"cyclic-{n}-{k}",
         n=n,
@@ -149,7 +155,6 @@ def cyclic_code(
         generator_matrix=GF2Matrix(rows, n),
         d_known=d_known,
         generator_poly=g,
-        is_cyclic=True,
     )
 
 
@@ -161,7 +166,7 @@ def shorten(
     Restricting the message polynomial to degree < k - s zeroes the last s
     coordinates of every codeword, so those coordinates are removed.
     """
-    if not parent.is_cyclic or parent.generator_poly is None:
+    if not parent.is_cyclic:
         raise ValueError("shortening requires a cyclic parent with a generator polynomial")
     if s >= parent.k:
         raise ValueError(f"cannot shorten by {s} >= k = {parent.k}")
@@ -170,7 +175,7 @@ def shorten(
     g = parent.generator_poly
     n = parent.n - s
     k = parent.k - s
-    rows = tuple(g.value << i for i in range(k))
+    rows = tuple(g << i for i in range(k))
     return CodeSpec(
         name=name or f"{parent.name}-shortened-{s}",
         n=n,
@@ -178,7 +183,6 @@ def shorten(
         generator_matrix=GF2Matrix(rows, n),
         d_known=d_known if d_known is not None else parent.d_known,
         generator_poly=g,
-        is_cyclic=False,
         parent=parent,
     )
 
@@ -217,7 +221,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def qr_generator_polynomial(p: int) -> GF2Poly:
+def qr_generator_polynomial(p: int) -> int:
     """Generator polynomial of the binary quadratic-residue code of length p.
 
     Built as gcd(x^p + 1, θ) where θ is the residue-exponent sum; idempotent
@@ -227,12 +231,12 @@ def qr_generator_polynomial(p: int) -> GF2Poly:
         raise ValueError("p must be a prime with 2 a quadratic residue (p ≡ ±1 mod 8)")
     qr = quadratic_residues(p)
     nqr = set(range(1, p)) - qr
-    theta = GF2Poly.from_exponents(qr)
-    theta_n = GF2Poly.from_exponents(nqr) + GF2Poly.one()
+    theta = poly_from_exponents(qr)
+    theta_n = poly_from_exponents(nqr) ^ 1
     target = (p - 1) // 2
-    for cand in (theta, theta_n, theta + GF2Poly.one()):
-        g = poly_gcd(x_n_plus_1(p), cand)
-        if g.degree == target:
+    for cand in (theta, theta_n, theta ^ 1):
+        g = poly_gcd(1 << p | 1, cand)
+        if g.bit_length() - 1 == target:
             return g
     raise ValueError(f"no quadratic-residue generator of degree {target} found for p = {p}")
 
@@ -339,7 +343,7 @@ def catalog() -> dict[str, CodeSpec]:
     def add(c: CodeSpec):
         codes[c.name] = c
 
-    add(cyclic_code(GF2Poly.from_exponents([0, 1, 3]), 7, name="hamming-7-4", d_known=3))
+    add(cyclic_code(poly_from_exponents([0, 1, 3]), 7, name="hamming-7-4", d_known=3))
 
     qr23 = cyclic_code(qr_generator_polynomial(23), 23, name="qr-23-12", d_known=7)
     add(qr23)
@@ -349,21 +353,21 @@ def catalog() -> dict[str, CodeSpec]:
     add(cyclic_code(qr_generator_polynomial(71), 71, name="qr-71-36", d_known=11))
     add(cyclic_code(qr_generator_polynomial(73), 73, name="qr-73-37", d_known=13))
 
-    add(cyclic_code(GF2Poly.from_exponents(G1_EXPONENTS), 127,
+    add(cyclic_code(poly_from_exponents(G1_EXPONENTS), 127,
                     name="bch-127-50", d_known=27))
 
-    bch255 = cyclic_code(GF2Poly.from_exponents(G2_EXPONENTS), 255,
+    bch255 = cyclic_code(poly_from_exponents(G2_EXPONENTS), 255,
                          name="bch-255-191", d_known=17)
     add(bch255)
     add(shorten(bch255, 125, name="bch-130-66", d_known=17))
 
-    bch127 = cyclic_code(GF2Poly.from_exponents(G3_EXPONENTS), 127,
+    bch127 = cyclic_code(poly_from_exponents(G3_EXPONENTS), 127,
                          name="bch-127-71", d_known=19)
     add(bch127)
     add(shorten(bch127, 24, name="bch-103-47", d_known=19))
     add(shorten(bch127, 16, name="bch-111-55", d_known=19))
 
-    add(cyclic_code(GF2Poly(G_BCH_63_39), 63, name="bch-63-39", d_known=9))
+    add(cyclic_code(G_BCH_63_39, 63, name="bch-63-39", d_known=9))
 
     return codes
 

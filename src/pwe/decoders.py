@@ -16,9 +16,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitops import bits_to_ints, bpsk, int_to_bits, ints_to_bits
+from .bitops import bits_to_ints, ints_to_bits
 from .codes import CodeSpec, _codeword_chunks, codeword_rows
-from .gf2 import BitWord, GF2Matrix, rref
+from .gf2 import BitWord, rref
 
 __all__ = ["DecoderKind", "parse_decoder", "decode_batch", "mld_decode", "osd_decode", "decode"]
 
@@ -133,8 +133,8 @@ def _eliminate_rows(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     R_bits = np.empty_like(ranked)
     pivots = np.empty((B, k), dtype=np.intp)
     for b in range(B):
-        R, _, pivots[b] = rref(GF2Matrix(tuple(bits_to_ints(ranked[b])), n))
-        R_bits[b] = ints_to_bits(R.rows, n)
+        R, pivots[b] = rref(bits_to_ints(ranked[b]), n)
+        R_bits[b] = ints_to_bits(R, n)
     return R_bits, pivots
 
 
@@ -375,12 +375,3 @@ def mld_decode(code: CodeSpec, r) -> BitWord:
 def osd_decode(code: CodeSpec, r, order: int) -> BitWord:
     """Ordered statistics decoding of one soft vector (see _osd_batch)."""
     return decode(DecoderKind("osd", order), code, r)
-
-
-def euclidean_score(code: CodeSpec, word: int, r) -> float:
-    """Squared Euclidean distance between r and the BPSK image of a word,
-    an int below 2^n."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (code.n,) or not np.all(np.isfinite(r)):
-        raise ValueError(f"soft vector must be {code.n} finite values, got shape {r.shape}")
-    return float(np.sum((r - bpsk(int_to_bits(word, code.n))) ** 2))

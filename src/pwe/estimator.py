@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtri
 
-from .bounds import q_function
 from .codes import CodeSpec, codewords_of_weight
 from .harvest import HarvestConfig, WeightClassList, _trial_block, cyclic_orbit
 # impulse_trial is not called here; bench/spans.py traces it at this site.
@@ -63,7 +63,7 @@ class RecoveryEstimate:
 
 @dataclass(frozen=True)
 class PartialWeightEnumerator:
-    """Ordered per-weight count estimates; the radius is the entry count."""
+    """Per-weight count estimates, in increasing weight."""
 
     code_name: str
     entries: tuple[RecoveryEstimate, ...]
@@ -74,27 +74,12 @@ class PartialWeightEnumerator:
         if ws != sorted(set(ws)):
             raise ValueError("entry weights must be strictly increasing")
 
-    @property
-    def radius(self) -> int:
-        return len(self.entries)
-
-    def counts(self) -> dict[int, int]:
-        return {e.w: e.count_estimate for e in self.entries}
-
 
 def beta_from_mu(mu: float) -> float:
-    """Two-sided normal quantile: Q(beta) = (1 - mu) / 2, by bisection."""
+    """Two-sided normal quantile: Q(beta) = (1 - mu) / 2."""
     if not 0.5 < mu < 1.0:
         raise ValueError("confidence level mu must lie in (0.5, 1)")
-    target = (1.0 - mu) / 2.0
-    lo, hi = 0.0, 40.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if q_function(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(ndtri((1.0 + mu) / 2.0))
 
 
 class ExactUniformSampler:

@@ -18,7 +18,7 @@ import numpy as np
 from .bitops import ints_to_bits
 from .codes import CodeSpec, codeword_rows, cyclic_code, shorten
 from .estimator import PartialWeightEnumerator, RecoveryEstimate
-from .gf2 import GF2Poly
+from .gf2 import poly_from_exponents
 from .harvest import WeightClassList
 from .bounds import BoundCurve
 
@@ -248,8 +248,7 @@ def read_code_definition(path) -> CodeSpec:
     if "n" not in fields or "g" not in fields:
         raise ValueError(f"{path}: code definition needs at least n= and g=")
     n = int(fields["n"])
-    exps = [int(x) for x in fields["g"].split(",") if x.strip()]
-    g = GF2Poly.from_exponents(exps)
+    g = poly_from_exponents(int(x) for x in fields["g"].split(",") if x.strip())
     name = fields.get("name", path.stem)
     code = cyclic_code(g, n, name=name if "shorten" not in fields else name + "-parent")
     if "shorten" in fields:

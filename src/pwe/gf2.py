@@ -9,12 +9,13 @@ construction, so they can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 __all__ = [
     "BitWord",
-    "GF2Poly",
     "GF2Matrix",
+    "poly_from_exponents",
+    "poly_exponents",
     "poly_mul",
     "poly_divmod",
     "poly_gcd",
@@ -39,103 +40,53 @@ class BitWord:
             raise ValueError(f"value out of range for length {self.length}")
 
 
-@dataclass(frozen=True)
-class GF2Poly:
-    """Polynomial over GF(2); bit i of ``value`` is the coefficient of x^i."""
-
-    value: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("polynomial value must be non-negative")
-
-    @classmethod
-    def zero(cls) -> "GF2Poly":
-        return cls(0)
-
-    @classmethod
-    def one(cls) -> "GF2Poly":
-        return cls(1)
-
-    @classmethod
-    def from_exponents(cls, exponents: Iterable[int]) -> "GF2Poly":
-        value = 0
-        for e in exponents:
-            value |= 1 << e
-        return cls(value)
-
-    def exponents(self) -> list[int]:
-        return [i for i in range(self.value.bit_length()) if (self.value >> i) & 1]
-
-    @property
-    def degree(self) -> Optional[int]:
-        """Degree, or None for the zero polynomial."""
-        if self.value == 0:
-            return None
-        return self.value.bit_length() - 1
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __add__(self, other: "GF2Poly") -> "GF2Poly":
-        return GF2Poly(self.value ^ other.value)
-
-    __sub__ = __add__
-
-    def __str__(self) -> str:
-        if self.value == 0:
-            return "0"
-        terms = []
-        for e in self.exponents():
-            terms.append("1" if e == 0 else ("x" if e == 1 else f"x^{e}"))
-        return " + ".join(terms)
+def poly_from_exponents(exponents: Iterable[int]) -> int:
+    """The polynomial with coefficient 1 at each of the exponents."""
+    value = 0
+    for e in exponents:
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        value |= 1 << e
+    return value
 
 
-def poly_mul(a: GF2Poly, b: GF2Poly) -> GF2Poly:
+def poly_exponents(p: int) -> list[int]:
+    """The exponents of p's nonzero coefficients, in increasing order."""
+    return [i for i in range(p.bit_length()) if p >> i & 1]
+
+
+def poly_mul(a: int, b: int) -> int:
     """Carry-less product of two GF(2) polynomials."""
-    av, bv = a.value, b.value
-    if av == 0 or bv == 0:
-        return GF2Poly(0)
+    if a < 0 or b < 0:
+        raise ValueError("polynomials are non-negative ints")
     out = 0
-    while bv:
-        low = bv & -bv
-        out ^= av * low  # multiplying by a power of two is a shift
-        bv ^= low
-    return GF2Poly(out)
+    while b:
+        low = b & -b
+        out ^= a * low  # multiplying by a power of two is a shift
+        b ^= low
+    return out
 
 
-def poly_divmod(a: GF2Poly, b: GF2Poly) -> tuple[GF2Poly, GF2Poly]:
+def poly_divmod(a: int, b: int) -> tuple[int, int]:
     """Quotient and remainder of GF(2) polynomial long division."""
-    if b.value == 0:
+    if a < 0 or b < 0:
+        raise ValueError("polynomials are non-negative ints")
+    if b == 0:
         raise ZeroDivisionError("division by zero polynomial")
-    r = a.value
-    bv = b.value
-    db = bv.bit_length() - 1
     q = 0
-    while r.bit_length() - 1 >= db and r:
-        shift = (r.bit_length() - 1) - db
+    while (shift := a.bit_length() - b.bit_length()) >= 0:
         q |= 1 << shift
-        r ^= bv << shift
-    return GF2Poly(q), GF2Poly(r)
+        a ^= b << shift
+    return q, a
 
 
-def poly_mod(a: GF2Poly, b: GF2Poly) -> GF2Poly:
-    return poly_divmod(a, b)[1]
-
-
-def poly_gcd(a: GF2Poly, b: GF2Poly) -> GF2Poly:
+def poly_gcd(a: int, b: int) -> int:
     """Greatest common divisor by the Euclidean algorithm."""
-    if a.value == 0 and b.value == 0:
+    if a == 0 and b == 0:
         raise ValueError("gcd of two zero polynomials is undefined")
-    x, y = a, b
-    while y.value != 0:
-        x, y = y, poly_mod(x, y)
-    return x
-
-
-def x_n_plus_1(n: int) -> GF2Poly:
-    """x^n + 1 (equal to x^n - 1 over GF(2))."""
-    return GF2Poly((1 << n) | 1)
+    while b:
+        a, b = b, poly_divmod(a, b)[1]
+    return a
 
 
 @dataclass(frozen=True)
@@ -155,30 +106,19 @@ class GF2Matrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def mul_vector(self, v: int) -> int:
-        """v (row vector of nrows bits) times this matrix, over GF(2)."""
-        out = 0
-        vv = v
-        i = 0
-        while vv:
-            if vv & 1:
-                out ^= self.rows[i]
-            vv >>= 1
-            i += 1
-        return out
 
+def rref(rows: Iterable[int], ncols: int) -> tuple[tuple[int, ...], list[int]]:
+    """Reduced row-echelon form over GF(2) of int rows of ncols bits.
 
-def rref(M: GF2Matrix) -> tuple[GF2Matrix, int, list[int]]:
-    """Reduced row-echelon form over GF(2).
-
-    Returns (R, rank, pivot_columns).  Pivots are chosen at the lowest
-    available row/column index so the output is deterministic.
+    Returns (R rows, pivot columns); the rank is the number of pivots.
+    Pivots are chosen at the lowest available row/column index so the
+    output is deterministic.
     """
-    rows = list(M.rows)
+    rows = list(rows)
     nrows = len(rows)
     pivot_cols: list[int] = []
     pr = 0
-    for col in range(M.ncols):
+    for col in range(ncols):
         if pr == nrows:
             break
         mask = 1 << col
@@ -196,4 +136,4 @@ def rref(M: GF2Matrix) -> tuple[GF2Matrix, int, list[int]]:
                 rows[i] ^= piv
         pivot_cols.append(col)
         pr += 1
-    return GF2Matrix(tuple(rows), M.ncols), len(pivot_cols), pivot_cols
+    return tuple(rows), pivot_cols

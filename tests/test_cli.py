@@ -21,12 +21,28 @@ def test_parse_snr_grid():
             parse_snr_grid(empty)
 
 
+# `pwe codes NAME` for a cyclic, a shortened and an extended code.
+CODE_LISTINGS = {
+    "bch-127-50": (
+        "name: bch-127-50\nn: 127\nk: 50\nd_known: 27\ncyclic: True\n"
+        "generator_poly_exponents: 0,1,2,3,5,6,9,10,11,13,14,15,17,18,26,27,28,33,35,36,37,"
+        "38,42,43,45,47,48,51,56,57,58,59,60,64,65,68,72,75,77\n"),
+    "bch-130-66": (
+        "name: bch-130-66\nn: 130\nk: 66\nd_known: 17\ncyclic: False\n"
+        "generator_poly_exponents: 0,2,3,5,6,9,10,11,14,15,16,22,23,24,25,26,27,31,34,35,37,"
+        "39,40,42,43,45,46,47,48,49,52,53,56,58,59,60,62,63,64\n"
+        "parent: bch-255-191 (removed 125 coordinates)\n"),
+    "golay-24-12": "name: golay-24-12\nn: 24\nk: 12\nd_known: 8\ncyclic: False\n",
+}
+
+
 def test_codes_listing(capsys):
     assert main(["codes"]) == 0
     out = capsys.readouterr().out
     assert "hamming-7-4" in out and "bch-127-50" in out
-    assert main(["codes", "golay-24-12"]) == 0
-    assert "n: 24" in capsys.readouterr().out
+    for name, listing in CODE_LISTINGS.items():
+        assert main(["codes", name]) == 0
+        assert capsys.readouterr().out == listing, name
     assert main(["codes", "no-such-code"]) == 2
 
 

@@ -142,9 +142,8 @@ def test_estimate_pwe_orders_entries_and_reports_failures():
     pwe = estimate_pwe(code, lists, ExactUniformSampler(code), M=5, q=10,
                        mu=0.99, rng=np.random.default_rng(67))
     assert [e.w for e in pwe.entries] == [3, 4]
-    assert pwe.radius == 2
     assert pwe.failures == ()
-    assert pwe.counts()[4] == 7
+    assert pwe.entries[1].count_estimate == 7
     with pytest.raises(ValueError):
         estimate_pwe(code, {}, ExactUniformSampler(code), M=5, q=10, mu=0.99,
                      rng=np.random.default_rng(0))

@@ -8,6 +8,7 @@ from pwe import fileio
 from pwe.bounds import BoundCurve
 from pwe.codes import codewords_of_weight, get_code
 from pwe.estimator import PartialWeightEnumerator, interval_from_stats
+from pwe.gf2 import poly_exponents
 from pwe.harvest import WeightClassList
 
 
@@ -121,16 +122,17 @@ def test_code_definition_cyclic(tmp_path):
 
 
 def test_code_definition_shortened(tmp_path):
-    exps = ",".join(map(str, get_code("qr-23-12").generator_poly.exponents()))
+    exps = ",".join(map(str, poly_exponents(get_code("qr-23-12").generator_poly)))
     path = tmp_path / "short.code"
     path.write_text(f"n=23\ng={exps}\nshorten=3\n")
     code = fileio.read_code_definition(path)
     assert (code.n, code.k) == (20, 9)
-    assert code.parent is not None
+    assert code.parent is not None and code.parent.is_cyclic and not code.is_cyclic
     bad = tmp_path / "bad.code"
-    bad.write_text("n=7\n")
-    with pytest.raises(ValueError):
-        fileio.read_code_definition(bad)
+    for text in ("n=7\n", "n=7\ng=0,1,-3\n"):
+        bad.write_text(text)
+        with pytest.raises(ValueError):
+            fileio.read_code_definition(bad)
 
 
 def test_manifest_contents(tmp_path):

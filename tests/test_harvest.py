@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pwe.bitops import bits_to_ints, bpsk, int_to_bits
+from pwe.bitops import bits_to_ints, bpsk, ints_to_bits
 from pwe.codes import catalog, codewords_of_weight, contains, encode, get_code
 from pwe.decoders import DecoderKind, decode, parse_decoder
 from pwe.gf2 import BitWord
@@ -170,7 +170,7 @@ def sequential_sweep(code, config, c1: int, pos: int) -> int:
     """single_impulse_sweep one trial at a time, as the reference: push
     coordinate pos toward the opposite sign by 1, 1.5, ... up to d + 2 and
     decode after each step, until the decision leaves the sent word."""
-    tx = bpsk(int_to_bits(c1, code.n))
+    tx = bpsk(ints_to_bits([c1], code.n)[0])
     cap = float((code.d_known or code.n) + 2)
     c2, amp = c1, 1.0
     while amp <= cap:
@@ -201,7 +201,7 @@ def reference_trials(code, config, rng, size) -> list[int]:
         amplitude = config.impulse_amplitude or code.d_known - 1
     finds = []
     for t, c1 in enumerate(sent):
-        tx = bpsk(int_to_bits(c1, code.n))
+        tx = bpsk(ints_to_bits([c1], code.n)[0])
         r = tx + noise_sigma(config.snr_grid_db[snr[t]], code.rate) * noise[t]
         if config.impulse_mode == "noisy_impulse":
             r[pos[t]] -= amplitude * np.sign(tx[pos[t]])
