@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from scipy.special import erfc as _erfc
-
 __all__ = [
     "RateContext",
     "BoundCurve",
@@ -64,7 +62,7 @@ class BoundCurve:
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    return 0.5 * float(_erfc(x / math.sqrt(2.0)))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def _terms(weights: dict[int, int] | dict[int, float], ctx: RateContext,

@@ -108,7 +108,6 @@ def _harvest_config(args, seed: int) -> HarvestConfig:
         seed=seed,
         snr_grid_db=tuple(parse_snr_grid("0:3:1" if args.snr is None else args.snr)),
         weight_window=window,
-        transmit_mode=args.transmit_mode,
         impulse_mode=args.impulse_mode,
         impulse_amplitude=args.impulse_amplitude,
     )
@@ -207,7 +206,7 @@ def cmd_simulate(args) -> int:
     points = simulate_curve(code, decoder, grid, config)
 
     curve = BoundCurve("simulated_ber", tuple((p.ebn0_db, p.ber) for p in points))
-    fileio.write_curve(man.record(args.out), curve, with_kind=True)
+    fileio.write_curve(man.record(args.out), curve)
     man.finish(str(args.out) + ".manifest.json")
     for p in points:
         flag = " (capped)" if p.low_confidence else ""
@@ -245,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", default=None, help="noise grid LO:HI:STEP (dB)")
     p.add_argument("--weights", default=None, help="weight window LO:HI")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--transmit-mode", default="random_codeword",
-                   choices=("all_zero", "random_codeword"))
     p.add_argument("--impulse-mode", default="gaussian_noise",
                    choices=("gaussian_noise", "single_impulse_sweep", "noisy_impulse"))
     p.add_argument("--impulse-amplitude", type=float, default=None)

@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .codes import CodeSpec, codewords_of_weight
 from .harvest import HarvestConfig, WeightClassList, _trial_block, cyclic_orbit
@@ -79,7 +79,7 @@ def beta_from_mu(mu: float) -> float:
     """Two-sided normal quantile: Q(beta) = (1 - mu) / 2."""
     if not 0.5 < mu < 1.0:
         raise ValueError("confidence level mu must lie in (0.5, 1)")
-    return float(ndtri((1.0 + mu) / 2.0))
+    return NormalDist().inv_cdf((1.0 + mu) / 2.0)
 
 
 class ExactUniformSampler:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -21,6 +20,19 @@ from .estimator import PartialWeightEnumerator, RecoveryEstimate
 from .gf2 import poly_from_exponents
 from .harvest import WeightClassList
 from .bounds import BoundCurve
+
+
+def _read_header(path, line: str, required: tuple[str, ...]) -> dict[str, str]:
+    """The fields of a ``# key=value ...`` header line, which must hold the
+    required keys; the ValueError otherwise names the file and the fault."""
+    tokens = line.split()
+    if tokens[:1] != ["#"] or not all("=" in t for t in tokens[1:]):
+        raise ValueError(f"{path}: malformed header {line.strip()!r}")
+    fields = dict(t.split("=", 1) for t in tokens[1:])
+    missing = [f"{key}=" for key in required if key not in fields]
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+    return fields
 
 
 # --- codeword lists --------------------------------------------------------
@@ -58,10 +70,7 @@ def read_weight_class(path, code: CodeSpec) -> WeightClassList:
     """Read one list file; every word is checked for range, weight and membership."""
     path = Path(path)
     with path.open() as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# "):
-            raise ValueError(f"{path}: missing codeword-list header")
-        fields = dict(kv.split("=", 1) for kv in header[2:].split())
+        fields = _read_header(path, fh.readline(), ("code", "n", "w", "count"))
         if fields["code"] != code.name:
             raise ValueError(f"{path}: list of code {fields['code']!r}, not {code.name!r}")
         n = int(fields["n"])
@@ -128,8 +137,7 @@ def write_pwe(path, pwe: PartialWeightEnumerator, mu: float, M: int, q: int):
 def read_pwe(path) -> PartialWeightEnumerator:
     path = Path(path)
     with path.open() as fh:
-        header = fh.readline().strip()
-        fields = dict(kv.split("=", 1) for kv in header[2:].split())
+        fields = _read_header(path, fh.readline(), ("code", "mu", "q"))
         failures = []
         line = fh.readline()
         while line.startswith(_FAILURE):
@@ -162,49 +170,34 @@ def read_pwe(path) -> PartialWeightEnumerator:
                     rates=tuple(float(r) for r in row["rates"].split(";") if r),
                 )
             )
-    return PartialWeightEnumerator(fields.get("code", "?"), tuple(entries), tuple(failures))
+    return PartialWeightEnumerator(fields["code"], tuple(entries), tuple(failures))
 
 
 # --- curves ----------------------------------------------------------------
 
-def write_curve(path, curve: BoundCurve, with_kind: bool = False):
-    path = Path(path)
-    with path.open("w") as fh:
-        cols = "ebn0_db,value"
-        if curve.intervals is not None:
-            cols += ",lower,upper"
-        if with_kind:
-            cols += ",kind"
-        fh.write(cols + "\n")
+def write_curve(path, curve: BoundCurve):
+    has_iv = curve.intervals is not None
+    with Path(path).open("w") as fh:
+        fh.write("ebn0_db,value" + (",lower,upper" if has_iv else "") + ",kind\n")
         for i, (db, v) in enumerate(curve.points):
-            row = f"{db:.12g},{v:.12g}"
-            if curve.intervals is not None:
-                lo, hi = curve.intervals[i]
-                row += f",{lo:.12g},{hi:.12g}"
-            if with_kind:
-                row += f",{curve.kind}"
-            fh.write(row + "\n")
+            iv = "".join(f",{x:.12g}" for x in curve.intervals[i]) if has_iv else ""
+            fh.write(f"{db:.12g},{v:.12g}{iv},{curve.kind}\n")
 
 
-def read_curve(path, kind: Optional[str] = None) -> BoundCurve:
+def read_curve(path) -> BoundCurve:
+    """Read a curve file, whose kind column must name one kind throughout."""
     path = Path(path)
     with path.open() as fh:
         cols = fh.readline().strip().split(",")
-        has_iv = "lower" in cols
-        has_kind = "kind" in cols
-        pts = []
-        ivs = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            pts.append((float(parts[0]), float(parts[1])))
-            if has_iv:
-                ivs.append((float(parts[2]), float(parts[3])))
-            if has_kind and kind is None:
-                kind = parts[-1]
-    return BoundCurve(kind or "bit_bound", tuple(pts), tuple(ivs) if has_iv else None)
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if "kind" not in cols:
+        raise ValueError(f"{path}: curve file lacks the kind column")
+    kinds = {row[-1] for row in rows}
+    if len(kinds) != 1:
+        raise ValueError(f"{path}: curve file needs one kind, found {sorted(kinds)}")
+    pts = tuple((float(r[0]), float(r[1])) for r in rows)
+    ivs = tuple((float(r[2]), float(r[3])) for r in rows) if "lower" in cols else None
+    return BoundCurve(kinds.pop(), pts, ivs)
 
 
 # --- weight distribution CSV ----------------------------------------------
@@ -250,6 +243,8 @@ def read_code_definition(path) -> CodeSpec:
     n = int(fields["n"])
     g = poly_from_exponents(int(x) for x in fields["g"].split(",") if x.strip())
     name = fields.get("name", path.stem)
+    if not name or any(ch.isspace() for ch in name):
+        raise ValueError(f"{path}: code name {name!r} is empty or holds whitespace")
     code = cyclic_code(g, n, name=name if "shorten" not in fields else name + "-parent")
     if "shorten" in fields:
         code = shorten(code, int(fields["shorten"]), name=name)

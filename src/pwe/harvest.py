@@ -1,10 +1,12 @@
 """Error-impulse collection of low-weight codewords.
 
-A trial transmits a codeword, perturbs its BPSK image, decodes, and keeps
-the XOR of the transmitted and decoded words when they differ — a codeword
-of (usually) small weight.  Trials are drawn and decoded in blocks; finds
-are multiplied through the code's cyclic automorphisms and deduplicated
-into per-weight lists.
+A trial transmits a random codeword, perturbs its BPSK image, decodes, and
+keeps the XOR of the transmitted and decoded words when they differ — a
+codeword of (usually) small weight.  Both decoders are codeword-symmetric
+up to exact ties, so with noise the word sent changes only the random
+stream; on a clean channel a random word spreads MLD's tie-breaks.  Trials
+are drawn and decoded in blocks; finds are multiplied through the code's
+cyclic automorphisms and deduplicated into per-weight lists.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "harvest",
 ]
 
-TRANSMIT_MODES = ("all_zero", "random_codeword")
 # gaussian_noise: AWGN only.  single_impulse_sweep: clean channel, one
 # coordinate pushed toward the opposite sign with growing amplitude until the
 # decision flips.  noisy_impulse: AWGN plus one fixed-amplitude impulse —
@@ -49,7 +50,6 @@ class HarvestConfig:
     # Explicit [w_min, w_max]; None tracks the smallest weight seen so far
     # (or d_known) with a margin of +5.
     weight_window: Optional[tuple[int, int]] = None
-    transmit_mode: str = "random_codeword"
     impulse_mode: str = "gaussian_noise"
     # Impulse size for noisy_impulse; None picks d_known - 1 (or n/4).
     impulse_amplitude: Optional[float] = None
@@ -57,8 +57,6 @@ class HarvestConfig:
     def __post_init__(self):
         if self.trials < 0:
             raise ValueError("trials must be non-negative")
-        if self.transmit_mode not in TRANSMIT_MODES:
-            raise ValueError(f"unknown transmit mode {self.transmit_mode!r}")
         if self.impulse_mode not in IMPULSE_MODES:
             raise ValueError(f"unknown impulse mode {self.impulse_mode!r}")
         if self.weight_window is not None:
@@ -114,18 +112,15 @@ def _trial_block(code: CodeSpec, config: HarvestConfig, rng: np.random.Generator
     arrays: for each of the first ``keep`` (default: all), the XOR of the
     sent and the decoded word as an int, 0 where they agree.
 
-    The arrays are drawn in this order: the information bits (size x k;
-    random_codeword only), then for single_impulse_sweep the impulse
-    positions, and for the other modes the indices into snr_grid_db, the
-    standard normal noise (size x n) and, for noisy_impulse, the impulse
-    positions.  All ``size`` trials are drawn whatever ``keep`` is, so the
-    first trials of a block do not depend on how many are kept.
+    The arrays are drawn in this order: the information bits (size x k),
+    then for single_impulse_sweep the impulse positions, and for the other
+    modes the indices into snr_grid_db, the standard normal noise (size x n)
+    and, for noisy_impulse, the impulse positions.  All ``size`` trials are
+    drawn whatever ``keep`` is, so the first trials of a block do not depend
+    on how many are kept.
     """
-    if config.transmit_mode == "all_zero":
-        sent = np.zeros((size, code.n), dtype=np.uint8)
-    else:
-        info = rng.integers(0, 2, size=(size, code.k), dtype=np.uint8)
-        sent = (info @ code.systematic.generator_bits) & 1
+    info = rng.integers(0, 2, size=(size, code.k), dtype=np.uint8)
+    sent = (info @ code.systematic.generator_bits) & 1
     tx = bpsk(sent)
     if config.impulse_mode == "single_impulse_sweep":
         pos = rng.integers(code.n, size=size)

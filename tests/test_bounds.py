@@ -19,9 +19,20 @@ GOLAY = {8: 759, 12: 2576, 16: 759, 24: 1}
 CTX = RateContext(24, 12)
 
 
+# Q(x) to 40 digits (mpmath), deep into the tail the bounds reach.
+Q_REFERENCE = {
+    1: 0.1586552539314570514147674543679620775221,
+    5: 2.866515718791939116737523328746453538544e-7,
+    10: 7.619853024160526065973343251599308363504e-24,
+    20: 2.753624118606233695075622780857465332807e-89,
+    30: 4.906713927148187059533809256580190471997e-198,
+}
+
+
 def test_q_function_values():
-    assert q_function(0.0) == pytest.approx(0.5)
-    assert q_function(1.0) == pytest.approx(0.15865525, abs=1e-8)
+    assert q_function(0.0) == 0.5
+    for x, q in Q_REFERENCE.items():
+        assert q_function(x) == pytest.approx(q, rel=1e-12)
     xs = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
     vals = [q_function(x) for x in xs]
     assert all(a > b > 0 for a, b in zip(vals, vals[1:]))

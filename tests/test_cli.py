@@ -1,6 +1,10 @@
 """Command-line interface end to end on small codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,8 +92,8 @@ def test_harvest_estimate_bound_pipeline(tmp_path):
     curve_path = tmp_path / "bound.csv"
     assert main(["bound", "golay-24-12", "--pwe", str(pwe_path),
                  "--snr", "1:4:1", "--out", str(curve_path)]) == 0
-    curve = fileio.read_curve(curve_path, kind="truncated_bound")
-    assert len(curve.points) == 4
+    curve = fileio.read_curve(curve_path)
+    assert curve.kind == "truncated_bound" and len(curve.points) == 4
     vals = curve.values()
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -102,7 +106,9 @@ def test_harvest_estimate_bound_pipeline(tmp_path):
         out = tmp_path / f"{kind}.csv"
         assert main(["bound", "golay-24-12", "--we", str(we_path), *flags,
                      "--snr", "1:4:1", "--out", str(out)]) == 0
-        bounds[kind] = fileio.read_curve(out, kind=kind).values()
+        curve = fileio.read_curve(out)
+        assert curve.kind == kind
+        bounds[kind] = curve.values()
     assert len(bounds["word_bound"]) == 4
     assert all(w > b for w, b in zip(bounds["word_bound"], bounds["bit_bound"]))
 
@@ -173,6 +179,52 @@ def test_code_definition_file_resolution(tmp_path):
     out = tmp_path / "we.csv"
     assert main(["exact-we", str(path), "--out", str(out)]) == 0
     assert fileio.read_weight_distribution(out) == {0: 1, 3: 7, 4: 7, 7: 1}
+
+
+def test_code_name_with_whitespace_is_a_usage_error(tmp_path, capsys):
+    # The name is the file stem; list files and their headers could not
+    # hold it, so it is refused before anything is written.
+    path = tmp_path / "my code.txt"
+    path.write_text("n=7\ng=0,1,3\n")
+    lists_dir = tmp_path / "lists"
+    assert main(["harvest", str(path), "--trials", "50", "--seed", "75",
+                 "--out", str(lists_dir)]) == 2
+    assert "code name 'my code'" in capsys.readouterr().err
+    assert not lists_dir.exists()
+
+
+def test_list_header_without_count_is_a_usage_error(tmp_path, capsys):
+    lists_dir = tmp_path / "lists"
+    assert main(["harvest", "golay-24-12", "--decoder", "mld", "--trials", "100",
+                 "--seed", "76", "--weights", "8:8", "--out", str(lists_dir)]) == 0
+    path = lists_dir / fileio.weight_class_filename("golay-24-12", 8)
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(header.rsplit(" ", 1)[0] + "\n" + body)
+    capsys.readouterr()
+    assert main(["estimate", "golay-24-12", "--lists", str(lists_dir), "--seed", "76",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: header lacks count=\n"
+
+
+# The third-party packages that importing the CLI and the acceptance suite
+# loads; _sysconfigdata_* is the standard library's per-platform build data.
+THIRD_PARTY_IMPORTS = """
+import sys
+before = set(sys.modules)
+import pwe.cli, pwe.validation
+tops = {m.split(".")[0] for m in set(sys.modules) - before}
+print(sorted(m for m in tops - set(sys.stdlib_module_names) - {"numpy", "pwe"}
+             if not m.startswith("_sysconfigdata")))
+"""
+
+
+def test_cli_and_validation_import_numpy_alone():
+    # A fresh interpreter, so that no other test's imports count.
+    path = [str(Path(fileio.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run([sys.executable, "-c", THIRD_PARTY_IMPORTS], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_validate_only_fast_subset(capsys):

@@ -90,18 +90,26 @@ def test_pwe_without_statistics_columns_is_refused(tmp_path):
 
 
 def test_curve_roundtrip(tmp_path):
-    curve = BoundCurve("bit_bound", ((1.0, 1.5e-3), (2.0, 6.25e-4)))
+    curve = BoundCurve("word_bound", ((1.0, 1.5e-3), (2.0, 6.25e-4)))
     path = tmp_path / "curve.csv"
     fileio.write_curve(path, curve)
-    back = fileio.read_curve(path, kind="bit_bound")
-    assert back.points == curve.points
+    assert path.read_text().splitlines()[0] == "ebn0_db,value,kind"
+    assert fileio.read_curve(path) == curve
 
     with_iv = BoundCurve("truncated_bound", ((1.0, 1e-3),), (((9e-4, 2e-3)),))
     path2 = tmp_path / "curve2.csv"
-    fileio.write_curve(path2, with_iv, with_kind=True)
-    back2 = fileio.read_curve(path2)
-    assert back2.kind == "truncated_bound"
-    assert back2.intervals == with_iv.intervals
+    fileio.write_curve(path2, with_iv)
+    assert fileio.read_curve(path2) == with_iv
+
+
+def test_curve_without_one_kind_is_refused(tmp_path):
+    path = tmp_path / "curve.csv"
+    path.write_text("ebn0_db,value\n1,0.001\n")
+    with pytest.raises(ValueError, match="curve.csv: curve file lacks the kind column"):
+        fileio.read_curve(path)
+    path.write_text("ebn0_db,value,kind\n1,0.001,bit_bound\n2,0.0001,word_bound\n")
+    with pytest.raises(ValueError, match="one kind"):
+        fileio.read_curve(path)
 
 
 def test_weight_distribution_roundtrip(tmp_path):
@@ -133,6 +141,20 @@ def test_code_definition_shortened(tmp_path):
         bad.write_text(text)
         with pytest.raises(ValueError):
             fileio.read_code_definition(bad)
+
+
+def test_code_definition_name_without_whitespace(tmp_path):
+    path = tmp_path / "my code.txt"
+    path.write_text("n=7\ng=0,1,3\n")
+    with pytest.raises(ValueError, match="my code.txt: code name 'my code'"):
+        fileio.read_code_definition(path)
+    path.write_text("n=7\ng=0,1,3\nname=my-code\n")
+    assert fileio.read_code_definition(path).name == "my-code"
+    path = tmp_path / "ham.code"
+    for name in ("my code", ""):
+        path.write_text(f"n=7\ng=0,1,3\nname={name}\n")
+        with pytest.raises(ValueError, match="is empty or holds whitespace"):
+            fileio.read_code_definition(path)
 
 
 def test_manifest_contents(tmp_path):
@@ -192,3 +214,30 @@ def test_weight_class_rejects_out_of_range_word(tmp_path):
     write_raw_list(path, code, 8, [to_hex(code, v) for v in words[1:]] + [big])
     with pytest.raises(ValueError):
         fileio.read_weight_class(path, code)
+
+
+def test_headers_name_the_file_and_the_missing_field(tmp_path):
+    code, lst = golay_list()
+    path = tmp_path / "x.txt"
+    fileio.write_weight_class(path, lst)
+    lines = path.read_text().splitlines(keepends=True)
+    for header, problem in [
+        ("# code=golay-24-12 n=24 w=8\n", "header lacks count="),
+        ("# code=golay-24-12 w=8\n", "header lacks n=, count="),
+        ("# code=golay-24-12 n=24 w=8 count\n", "malformed header"),
+        ("\n", "malformed header"),
+    ]:
+        path.write_text(header + "".join(lines[1:]))
+        with pytest.raises(ValueError, match=f"x.txt: {problem}"):
+            fileio.read_weight_class(path, code)
+
+    pwe = PartialWeightEnumerator(code.name, (interval_from_stats(20, 0.5, 0.1, 10),))
+    path = tmp_path / "pwe.csv"
+    fileio.write_pwe(path, pwe, mu=0.99, M=10, q=10)
+    body = path.read_text().split("\n", 1)[1]
+    for header, problem in [("# code=golay-24-12 mu=0.99 M=10", "header lacks q="),
+                            ("# mu=0.99 M=10 q=10", "header lacks code="),
+                            ("code=golay-24-12 mu=0.99 M=10 q=10", "malformed header")]:
+        path.write_text(header + "\n" + body)
+        with pytest.raises(ValueError, match=f"pwe.csv: {problem}"):
+            fileio.read_pwe(path)
