@@ -89,6 +89,8 @@ class SystematicForm(NamedTuple):
     rows: tuple[int, ...]  # R; row i has its pivot at info_positions[i]
     info_positions: tuple[int, ...]
     generator_bits: np.ndarray  # R as a k x n uint8 array
+    row_at: tuple[int, ...]  # n entries: R's row with its pivot at p, else 0
+    info_mask: int  # the bits of the information positions
 
 
 def _systematic_form(G: GF2Matrix) -> SystematicForm:
@@ -97,7 +99,10 @@ def _systematic_form(G: GF2Matrix) -> SystematicForm:
         raise ValueError(f"generator matrix is rank-deficient: rank {len(pivots)} < {G.nrows}")
     bits = ints_to_bits(R, G.ncols)
     bits.flags.writeable = False
-    return SystematicForm(R, tuple(pivots), bits)
+    row_at = [0] * G.ncols
+    for p, r in zip(pivots, R):
+        row_at[p] = r
+    return SystematicForm(R, tuple(pivots), bits, tuple(row_at), sum(1 << p for p in pivots))
 
 
 def encode(code: CodeSpec, info: BitWord) -> BitWord:
@@ -114,14 +119,15 @@ def encode(code: CodeSpec, info: BitWord) -> BitWord:
 def contains(code: CodeSpec, word: int) -> bool:
     """Membership test of a word, an int below 2^n, by the rule of
     codeword_rows: the XOR of R's rows at the word's set information
-    positions must equal the word."""
+    positions must equal the word.  Walks those set bits alone."""
     if not 0 <= word < 1 << code.n:
         raise ValueError(f"word {word:#x} does not fit in n = {code.n} bits")
     form = code.systematic
-    reencoded = 0
-    for p, r in zip(form.info_positions, form.rows):
-        if word >> p & 1:
-            reencoded ^= r
+    info, reencoded = word & form.info_mask, 0
+    while info:
+        p = info.bit_length() - 1
+        reencoded ^= form.row_at[p]
+        info ^= 1 << p
     return reencoded == word
 
 

@@ -196,8 +196,9 @@ def _bands(k: int, t: int, B: int) -> tuple[tuple, np.ndarray, np.ndarray]:
         if B * len(heads) * (m1 - m0) * (k - 1 - m0) < _BAND_SCORES and m1 < k - 1:
             continue
         m = np.arange(m0, m1)
-        masks = (np.where(last[heads, np.newaxis] >= m, np.inf, 0.0),
-                 np.where(np.arange(m0 + 1, k) <= m[:, np.newaxis], np.inf, 0.0))
+        # 0 and +inf add exactly in float32 and float64 alike.
+        masks = (np.where(last[heads, np.newaxis] >= m, np.float32(np.inf), np.float32(0)),
+                 np.where(np.arange(m0 + 1, k) <= m[:, np.newaxis], np.float32(np.inf), np.float32(0)))
         bands.append((m0, m1, slice(0, len(heads)) if t < 4 else heads,
                       *(masks if m1 > m0 + 1 else (None, None))))
         table.append((m0, m1, len(ids)))
@@ -207,23 +208,30 @@ def _bands(k: int, t: int, B: int) -> tuple[tuple, np.ndarray, np.ndarray]:
 
 
 def _best_patterns(sigma: np.ndarray, red_weight: np.ndarray, flip_gain: np.ndarray,
-                   order: int) -> tuple[np.ndarray, np.ndarray]:
+                   order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The winning flip pattern of each row (see _osd_batch): its weight t,
-    0 for none, and its positions, the first t entries of a B x order array."""
+    0 for none, and its positions, the first t entries of a B x order array;
+    and, in float64, the least score of any other pattern of weight 0..order
+    less the winner's, NaN if a score is NaN.  Scores in the inputs' dtype."""
     B, k, K = sigma.shape
     rows, best = np.arange(B), red_weight.sum(axis=1)
+    runner = np.full(B, np.inf, dtype=best.dtype)
     won_t, won = np.zeros(B, dtype=np.intp), np.zeros((B, order), dtype=np.intp)
     for t in range(1, order + 1):
         if t == 1:
             scores = (red_weight[:, np.newaxis, :] @ sigma.transpose(0, 2, 1))[:, 0] + flip_gain
-            low, pattern = scores.min(axis=1), scores.argmin(axis=1)[:, np.newaxis]
+            pick = scores.argmin(axis=1)
+            low, pattern = scores[rows, pick], pick[:, np.newaxis]
+            scores[rows, pick] = np.inf
+            second = scores.min(axis=1)
         else:
             every = _pattern_indices(k, t - 2)
             # Row h is red_weight·prod_{j in head h} sigma_j.
             products = red_weight[:, np.newaxis, :] * sigma[:, every].prod(axis=2)
             head_gain = flip_gain[:, every].sum(axis=2)
             bands, table, band_heads = _bands(k, t, B)
-            lows, picks = np.empty((B, len(bands))), np.empty((B, len(bands)), dtype=np.intp)
+            lows, seconds = np.empty((2, B, len(bands)), dtype=sigma.dtype)
+            picks = np.empty((B, len(bands)), dtype=np.intp)
             for g, (m0, m1, heads, row_mask, col_mask) in enumerate(bands):
                 # sigma_m multiplies the smaller side: rows (h, m) or columns (m, l).
                 left, right = products[:, heads, np.newaxis, :], sigma[:, np.newaxis, m0 + 1:, :]
@@ -239,8 +247,13 @@ def _best_patterns(sigma: np.ndarray, red_weight: np.ndarray, flip_gain: np.ndar
                     gains += row_mask
                     scores += col_mask
                 scores += gains[:, :, :, np.newaxis]
-                picks[:, g] = scores.reshape(B, -1).argmin(axis=1)
-                lows[:, g] = scores.reshape(B, -1)[rows, picks[:, g]]
+                # Masked entries score +inf, so a pattern's duplicates never
+                # come second to it.
+                scores = scores.reshape(B, -1)
+                picks[:, g] = scores.argmin(axis=1)
+                lows[:, g] = scores[rows, picks[:, g]]
+                scores[rows, picks[:, g]] = np.inf
+                seconds[:, g] = scores.min(axis=1)
             # A row-major argmin is lexicographic within a band; across
             # bands, the least score wins, then the lexicographically first.
             m0, m1, start = table.T
@@ -249,14 +262,33 @@ def _best_patterns(sigma: np.ndarray, red_weight: np.ndarray, flip_gain: np.ndar
             patterns = np.dstack((band_heads[start + row], m0 + m, m0 + 1 + l))
             g = np.lexsort((*np.moveaxis(patterns, 2, 0)[::-1], lows), axis=1)[:, 0]
             low, pattern = lows[rows, g], patterns[rows, g]
+            lows[rows, g] = seconds[rows, g]
+            second = lows.min(axis=1)
+        # The runner-up so far: the loser of best and low, or the second of
+        # either side (minimum and maximum carry NaNs on).
+        runner = np.minimum(np.minimum(runner, second), np.maximum(best, low))
         # A later order replaces the best only if strictly lower: the first
         # order reaching the least score wins.
         better = low < best
         best[better], won_t[better] = low[better], t
         won[better, :t] = pattern[better]
-    return won_t, won
+    return won_t, won, runner.astype(np.float64) - best
 
 
+def _reprocess(parts: tuple, rows, order: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_best_patterns of the given rows of a block, scored in dtype; parts are
+    the block's redundancy columns of R, r on them, the base codeword on them,
+    and r on the MRB."""
+    red_cols, r_red, base_red, r_mrb = (part[rows] for part in parts)
+    sigma = red_cols.transpose(0, 2, 1).astype(dtype, order="C")
+    sigma *= -2
+    sigma += 1
+    # -s/2: pattern x scores its flip gains plus red_weight·prod_{j in x} sigma_j.
+    red_weight = r_red.astype(dtype) * np.array([-0.5, 0.5], dtype)[base_red]
+    return _best_patterns(sigma, red_weight, np.abs(r_mrb).astype(dtype), order)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflowing rows get bound +inf
 def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     """Ordered statistics decoding of each row of a B x n block.
 
@@ -283,6 +315,31 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     first pattern.  A later order replaces the best only if strictly lower, so
     earlier patterns win ties; on inputs whose sums are exact, such as dyadic
     values, ties resolve exactly.
+
+    Screen.  Order >= 2 scores every pattern in float32 first, and a row takes
+    the float32 winner only if every other pattern of weight 0..order scores
+    more than 2·bound above it, bound = (n + 2)·(2^-24 + 2^-53)·sum|r_i| +
+    (2n + 2)·2^-126; every other row is scored again in float64.  Proof that
+    the outputs are those of float64 scoring alone: pattern x's score is a sum
+    of N = |x| + n - k <= n terms a_i, flip gains and +-r/2 on the redundancy
+    positions, with sum|a_i| <= sum|r_i|; multiplying by sigma = +-1 and
+    adding a mask of 0 are exact, and +inf masks only non-patterns and
+    duplicates.  Rounding a term to float32 errs by at most 2^-24·|a_i| +
+    2^-126 (subnormal, or flushed to zero), and any order of summing N terms,
+    the BLAS's included, by at most gamma_(N-1) = (N - 1)u/(1 - (N - 1)u)
+    times the sum of their magnitudes, u = 2^-24, plus 2^-126 a flushed
+    addition.  With n(n + 1)·2^-24 <= 1 the float32 error e32 is at most
+    (n + 1)·2^-24·sum|r_i| + (2n - 1 + gamma·n)·2^-126, and the float64 score
+    error e64 is likewise at most (n + 1)·2^-53·sum|r_i| + 2n·2^-1022; the
+    spare unit in n + 2 covers the float64 rounding of sum|r_i| and of bound
+    itself, so e32 + e64 <= bound.  If S32(x) < S32(y) - 2·bound for every
+    y != x, then S64(x) <= S32(x) + e32 + e64 < S32(y) + e32 + e64 - 2·bound
+    <= S(y) + 2·e32 + e64 - 2·bound <= S(y) - e64 <= S64(y): float64 ranks x
+    strictly first, whatever its tie rules.  The gap is the float64
+    difference of two float32 scores, and rounding is monotone, so a gap
+    above 2·bound is an exact one.  bound is +inf, and every row falls back,
+    from sum|r_i| = 2^127 on, where float32 sums could overflow, and where
+    n(n + 1) >= 2^24.  NaN gaps and exact ties (gap 0) fall back too.
     """
     (B, n), k = received.shape, code.k
     if order > k:
@@ -316,16 +373,20 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     info = (r_mrb < 0).astype(np.uint8)
     if order:
         base_red = (red_cols @ info[:, :, np.newaxis])[:, :, 0] & 1
-        # -s/2: pattern x scores its flip gains plus red_weight·prod_{j in x} sigma_j.
-        red_weight = -0.5 * r_ranked[each, red] * (1.0 - 2.0 * base_red)
-        flip_gain = np.abs(r_mrb)
+        parts = red_cols, r_ranked[each, red], base_red, r_mrb
+        # Orders 2 and up screen in float32 (see Screen above).
+        dtype = np.float32 if order > 1 else np.float64
+        total = np.abs(received).sum(axis=1)
+        bound = np.where((total < 2.0 ** 127) & (n * (n + 1) < 1 << 24),
+                         (n + 2) * (2.0 ** -24 + 2.0 ** -53) * total + (2 * n + 2) * 2.0 ** -126, np.inf)
         # Per row: sigma, head products and as much for a group, or one row of scores.
         scratch = 2 * math.comb(k, order - 2) * (n - k) if order > 1 else n
-        step = max(1, _CHUNK_BYTES // (8 * (scratch + k * (n - k))))
+        step = max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * (scratch + k * (n - k))))
         for lo in range(0, B, step):
-            chunk = slice(lo, lo + step)
-            sigma = 1.0 - 2.0 * np.ascontiguousarray(red_cols[chunk].transpose(0, 2, 1))
-            won_t, won = _best_patterns(sigma, red_weight[chunk], flip_gain[chunk], order)
+            won_t, won, gap = _reprocess(parts, slice(lo, lo + step), order, dtype)
+            unsure = np.flatnonzero(~(gap > 2 * bound[lo:lo + step])) if order > 1 else []
+            if len(unsure):  # NaN gaps too
+                won_t[unsure], won[unsure], _ = _reprocess(parts, lo + unsure, order, np.float64)
             for b in np.flatnonzero(won_t):
                 info[lo + b, won[b, :won_t[b]]] ^= 1
     out = np.empty((B, n), dtype=np.uint8)
@@ -347,8 +408,15 @@ def decode_batch(kind: DecoderKind, code: CodeSpec, received) -> np.ndarray:
     argmin, if the float32 runner-up scores more than the bound above it; else
     the float64 argmin, which settles exact ties.  Each certificate proves the
     float64 argmin's word, so the outputs are those of float64 scoring alone.
-    OSD is described in _osd_batch.  Row b of the result depends on row b of
-    the input alone, so a block decodes exactly as its rows one at a time.
+    OSD is described in _osd_batch.  At order >= 2 it scores its flip
+    patterns in float32 and takes a row's float32 winner when every other
+    pattern of weight 0..order scores more than 2·bound above it, bound =
+    (n + 2)·(2^-24 + 2^-53)·sum|r_i| + (2n + 2)·2^-126, which exceeds the
+    float32 plus the float64 error of any score (+inf from sum|r_i| = 2^127
+    on); every other row, ties included, is scored again by the float64
+    kernel, so the outputs are again those of float64 scoring alone.  Row b
+    of the result depends on row b of the input alone, so a block decodes
+    exactly as its rows one at a time.
     """
     received = np.asarray(received, dtype=np.float64)
     if received.ndim != 2 or received.shape[1] != code.n:

@@ -35,6 +35,14 @@ def _read_header(path, line: str, required: tuple[str, ...]) -> dict[str, str]:
     return fields
 
 
+def _integer(path, field: str, text: str) -> int:
+    """text as an int; the ValueError otherwise names the file and the field."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}: {field}= is not an integer: {text!r}") from None
+
+
 # --- codeword lists --------------------------------------------------------
 
 def write_weight_class(path, lst: WeightClassList):
@@ -73,16 +81,15 @@ def read_weight_class(path, code: CodeSpec) -> WeightClassList:
         fields = _read_header(path, fh.readline(), ("code", "n", "w", "count"))
         if fields["code"] != code.name:
             raise ValueError(f"{path}: list of code {fields['code']!r}, not {code.name!r}")
-        n = int(fields["n"])
-        w = int(fields["w"])
+        n, w, count = (_integer(path, key, fields[key]) for key in ("n", "w", "count"))
         if n != code.n:
             raise ValueError(f"{path}: length {n} does not match code n = {code.n}")
         values = [int(line, 16) for line in map(str.strip, fh) if line]
     for start in range(0, len(values), _CHECK_BLOCK):
         _check_words(path, code, w, values[start:start + _CHECK_BLOCK])
     members = set(values)
-    if len(members) != int(fields["count"]):
-        raise ValueError(f"{path}: header says count={fields['count']} "
+    if len(members) != count:
+        raise ValueError(f"{path}: header says count={count} "
                          f"but the file holds {len(members)} distinct words")
     return WeightClassList(code, w, members)
 
@@ -138,11 +145,12 @@ def read_pwe(path) -> PartialWeightEnumerator:
     path = Path(path)
     with path.open() as fh:
         fields = _read_header(path, fh.readline(), ("code", "mu", "q"))
+        q = _integer(path, "q", fields["q"])
         failures = []
         line = fh.readline()
         while line.startswith(_FAILURE):
             w, message = line[len(_FAILURE):].split(" ", 1)
-            failures.append((int(w.removeprefix("w=")), json.loads(message)))
+            failures.append((_integer(path, "w", w.removeprefix("w=")), json.loads(message)))
             line = fh.readline()
         columns = line.strip().split(",")
         missing = [c for c in PWE_COLUMNS if c not in columns]
@@ -160,7 +168,7 @@ def read_pwe(path) -> PartialWeightEnumerator:
                     list_size=int(row["list_size"]),
                     r_bar=float(row["r_bar"]),
                     sigma=float(row["sigma"]),
-                    q=int(fields["q"]),
+                    q=q,
                     mu=float(fields["mu"]),
                     beta=float(row["beta"]),
                     r_interval=(float(row["r_lo"]), float(row["r_hi"])),
@@ -215,12 +223,15 @@ def read_weight_distribution(path) -> dict[int, int]:
     out = {}
     with path.open() as fh:
         fh.readline()
-        for line in fh:
+        for number, line in enumerate(fh, 2):
             line = line.strip()
             if not line:
                 continue
-            w, c = line.split(",")
-            out[int(w)] = int(c)
+            try:
+                w, c = line.split(",")
+                out[int(w)] = int(c)
+            except ValueError:
+                raise ValueError(f"{path}: line {number}: {line!r} is not a row w,count") from None
     return out
 
 
@@ -232,22 +243,24 @@ def read_code_definition(path) -> CodeSpec:
     path = Path(path)
     fields: dict[str, str] = {}
     with path.open() as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            if "=" not in line:
+                raise ValueError(f"{path}: line {number}: {line!r} is not key=value")
             key, value = line.split("=", 1)
             fields[key.strip()] = value.strip()
     if "n" not in fields or "g" not in fields:
         raise ValueError(f"{path}: code definition needs at least n= and g=")
-    n = int(fields["n"])
-    g = poly_from_exponents(int(x) for x in fields["g"].split(",") if x.strip())
+    n = _integer(path, "n", fields["n"])
+    g = poly_from_exponents(_integer(path, "g", x) for x in fields["g"].split(",") if x.strip())
     name = fields.get("name", path.stem)
     if not name or any(ch.isspace() for ch in name):
         raise ValueError(f"{path}: code name {name!r} is empty or holds whitespace")
     code = cyclic_code(g, n, name=name if "shorten" not in fields else name + "-parent")
     if "shorten" in fields:
-        code = shorten(code, int(fields["shorten"]), name=name)
+        code = shorten(code, _integer(path, "shorten", fields["shorten"]), name=name)
     return code
 
 

@@ -111,6 +111,24 @@ def test_membership_rejects_non_codewords():
         assert member == [in_span(code, w) for w in words], name
 
 
+def test_contains_agrees_with_codeword_rows_on_low_weight_words():
+    # contains walks only the word's set information bits: words of weight
+    # 0 to 3, words set only on information or only on redundancy
+    # positions, low-weight codewords and random words, on every catalog code.
+    rng = np.random.default_rng(26)
+    for name, code in catalog().items():
+        n, mask = code.n, code.systematic.info_mask
+        low = [0] + [1 << i for i in range(n)]
+        low += [sum(1 << int(i) for i in rng.choice(n, size=w, replace=False))
+                for w in (2, 3) for _ in range(50)]
+        randoms = random_ints(rng, 50, n)
+        words = low + [w & mask for w in randoms] + [w & ~mask for w in randoms] + randoms
+        words += [encode(code, BitWord(code.k, 1 << i)).value for i in range(code.k)]
+        member = [contains(code, w) for w in words]
+        assert member == codeword_rows(code, ints_to_bits(words, n)).tolist(), name
+        assert sum(member) >= code.k + 1, name
+
+
 def gray_reference(code):
     """Codeword i is codeword i - 1 XOR the generator row at i's lowest set
     bit, from codeword 0 = 0: the reflected Gray order."""

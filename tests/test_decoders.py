@@ -142,6 +142,9 @@ OSD_CORPUS = (
     ("bch-130-66", (3,), 20),
     ("golay-24-12", (0, 1, 2), 200),
 )
+# Most rows of 512 harvest-like ones (blocks of 64) the OSD screen may send
+# to float64.
+OSD_HARVEST_FALLBACK_MAX = 8
 # SHA-256 of every decoded word of OSD_CORPUS, frozen from a reference run.
 OSD_CORPUS_SHA256 = "92224549cb61ac96f4544a3e2e00014f21d0a1bcc2418a1880e2b192a1aaf8a0"
 
@@ -175,13 +178,11 @@ def test_pattern_indices_shapes():
     assert _pattern_indices(3, 4).shape == (0, 4)
 
 
-def reference_osd_decode(code, r, order):
-    """OSD with column-by-column uint8 elimination and one re-encoded
-    candidate per flip pattern: the kernel osd_decode must agree with."""
-    r = np.asarray(r, dtype=np.float64)
+def reference_mrb(code, r):
+    """The reliability order, the ranked generator in reduced row-echelon
+    form by column-by-column uint8 elimination, and its pivot columns."""
     n, k = code.n, code.k
     rank_order = np.lexsort((np.arange(n), -np.abs(r)))
-    r_perm = r[rank_order]
     R = code.systematic.generator_bits[:, rank_order].copy()
     mrb, pr = [], 0
     for col in range(n):
@@ -199,7 +200,16 @@ def reference_osd_decode(code, r, order):
             R[others] ^= R[pr]
         mrb.append(col)
         pr += 1
-    mrb_arr = np.array(mrb, dtype=np.intp)
+    return rank_order, R, np.array(mrb, dtype=np.intp)
+
+
+def reference_osd_decode(code, r, order):
+    """OSD with column-by-column uint8 elimination and one re-encoded
+    candidate per flip pattern: the kernel osd_decode must agree with."""
+    r = np.asarray(r, dtype=np.float64)
+    n, k = code.n, code.k
+    rank_order, R, mrb_arr = reference_mrb(code, r)
+    r_perm = r[rank_order]
     hard = (r_perm[mrb_arr] < 0).astype(np.uint8)
     base = (hard @ R) & 1
     red_arr = np.setdiff1d(np.arange(n), mrb_arr)
@@ -279,6 +289,125 @@ def test_osd_matches_per_pattern_reference(name, orders, harvested, rounds):
         vectors = [*harvest_like(code, rng, harvested), *tie_heavy(code, rng, rounds)]
         for r in vectors:
             assert osd_decode(code, r, order).value == reference_osd_decode(code, r, order)
+
+
+def reference_pattern_scores(code, r, order):
+    """The correlation of every flip pattern of weight 0..order on
+    reference_mrb's MRB, exact on dyadic inputs."""
+    rank_order, R, mrb = reference_mrb(code, r)
+    r_perm = r[rank_order]
+    base = ((r_perm[mrb] < 0).astype(np.uint8) @ R) & 1
+    scores = []
+    for t in range(order + 1):
+        patterns = _pattern_indices(code.k, t)
+        scores.append((base ^ np.bitwise_xor.reduce(R[patterns], axis=1)) @ r_perm)
+    return np.concatenate(scores)
+
+
+def osd_fallback_rows(monkeypatch):
+    """Route the float64 rescoring of the OSD screen through a recorder;
+    returns the list of block rows it rescores."""
+    seen, reprocess = [], decoders._reprocess
+
+    def recorded(parts, rows, order, dtype):
+        if dtype == np.float64 and order > 1:
+            seen.extend(np.asarray(rows).tolist())
+        return reprocess(parts, rows, order, dtype)
+
+    monkeypatch.setattr(decoders, "_reprocess", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["bch-127-50", "bch-130-66"])
+def test_osd_harvest_blocks_rarely_need_float64(monkeypatch, name):
+    # 512 harvest-like rows in blocks of 64, as the impulse sampler decodes
+    # them: measured 0 to 4 rows fall back at seeds 0 to 9 of either code.
+    seen = osd_fallback_rows(monkeypatch)
+    code = get_code(name)
+    rng = np.random.default_rng([49, code.n])
+    for _ in range(8):
+        block = np.array(list(harvest_like(code, rng, 64)))
+        out = decode_batch(DecoderKind("osd", 3), code, block)
+        for b in range(0, 64, 8):
+            assert bits_to_ints(out[b:b + 1])[0] == reference_osd_decode(code, block[b], 3)
+    assert len(seen) <= OSD_HARVEST_FALLBACK_MAX
+
+
+def exactly_tied(code, rows, order):
+    """The dyadic rows whose least pattern score is reached more than once."""
+    tied = []
+    for r in rows:
+        scores = reference_pattern_scores(code, r, order)
+        if (scores == scores.min()).sum() > 1:
+            tied.append(r)
+    return tied
+
+
+@pytest.mark.parametrize("name", ["golay-24-12", "bch-127-50", "bch-130-66"])
+def test_osd_exact_ties_go_to_float64(monkeypatch, name):
+    # On dyadic inputs every score is exact in float32 too, so a row whose
+    # winner ties another pattern has a float32 gap of 0.
+    code = get_code(name)
+    received = np.array(list(tie_heavy(code, np.random.default_rng([50, code.n]), 16)))
+    seen = osd_fallback_rows(monkeypatch)
+    decode_batch(DecoderKind("osd", 3), code, received)
+    tied = exactly_tied(code, received, 3)
+    assert len(tied) >= 8 and {tuple(r) for r in tied} <= {tuple(received[b]) for b in seen}
+
+
+@pytest.mark.parametrize("name", ["golay-24-12", "bch-127-50"])
+def test_osd_near_ties_decode_as_float64(name):
+    # Exactly tied rows moved by about float32's rounding of their scores:
+    # the screen must not take a float32 winner that float64 ranks second.
+    code = get_code(name)
+    rng = np.random.default_rng([53, code.n])
+    tied = exactly_tied(code, tie_heavy(code, rng, 16), 3)
+    received = np.array([r + offset * rng.normal(size=code.n)
+                         for r in tied for offset in (1e-7, 3e-7, 1e-6) for _ in range(3)])
+    out = decode_batch(DecoderKind("osd", 3), code, received)
+    for r, word in zip(received, bits_to_ints(out)):
+        assert word == reference_osd_decode(code, r, 3)
+
+
+def test_osd_rows_that_could_overflow_float32_go_to_float64(monkeypatch):
+    # A power-of-two scale scales every float64 score exactly, so the words
+    # must not change.  From sum|r_i| = 2^127 on every row falls back, also
+    # below 2^128, where its float32 scores would still be finite.
+    code, kind = get_code("bch-127-50"), DecoderKind("osd", 3)
+    received = np.array(list(harvest_like(code, np.random.default_rng(51), 48)))
+    want = decode_batch(kind, code, received)
+    seen = osd_fallback_rows(monkeypatch)
+    finite = 0
+    for e in (-140, -126, -100, 119, 120, 121, 122, 126, 500):
+        scaled = received * 2.0 ** e
+        del seen[:]
+        assert (decode_batch(kind, code, scaled) == want).all(), e
+        total = np.abs(scaled).sum(axis=1)
+        assert set(np.flatnonzero(total >= 2.0 ** 127)) <= set(seen), e
+        finite += ((total >= 2.0 ** 127) & (total < 2.0 ** 128)).sum()
+    assert finite >= 10
+
+
+@pytest.mark.parametrize("poison", ["red_weight", "one flip gain"])
+def test_osd_nan_screen_sends_every_row_to_float64(monkeypatch, poison):
+    code, kind = get_code("bch-127-50"), DecoderKind("osd", 3)
+    received = np.array(list(harvest_like(code, np.random.default_rng(52), 40)))
+    want = decode_batch(kind, code, received)
+    best = decoders._best_patterns
+
+    def poisoned(sigma, red_weight, flip_gain, order):
+        if sigma.dtype == np.float32:
+            red_weight, flip_gain = red_weight.copy(), flip_gain.copy()
+            if poison == "red_weight":
+                red_weight[:] = np.nan
+            else:
+                flip_gain[:, 7] = np.nan
+        return best(sigma, red_weight, flip_gain, order)
+
+    monkeypatch.setattr(decoders, "_best_patterns", poisoned)
+    seen = osd_fallback_rows(monkeypatch)
+    assert (decode_batch(kind, code, received) == want).all()
+    assert sorted(seen) == list(range(len(received)))
 
 
 @pytest.mark.parametrize("name,count", [("hamming-7-4", 300), ("golay-24-12", 150), ("qr-23-12", 150)])

@@ -241,3 +241,52 @@ def test_headers_name_the_file_and_the_missing_field(tmp_path):
         path.write_text(header + "\n" + body)
         with pytest.raises(ValueError, match=f"pwe.csv: {problem}"):
             fileio.read_pwe(path)
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("n=7\nshorten\ng=0,1,3\n", "line 2: 'shorten' is not key=value"),
+    ("n=seven\ng=0,1,3\n", "n= is not an integer: 'seven'"),
+    ("n=7\ng=0,1,3\nshorten=2.5\n", "shorten= is not an integer: '2.5'"),
+    ("n=7\ng=0,x,3\n", "g= is not an integer: 'x'"),
+], ids=["no =", "n", "shorten", "g exponent"])
+def test_code_definition_faults_name_the_file_and_the_field(tmp_path, text, problem):
+    path = tmp_path / "bad.code"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.code: {problem}"):
+        fileio.read_code_definition(path)
+
+
+@pytest.mark.parametrize("header,field", [
+    ("# code=golay-24-12 n=x w=8 count=20\n", "n"),
+    ("# code=golay-24-12 n=24 w=8.0 count=20\n", "w"),
+    ("# code=golay-24-12 n=24 w=8 count=twenty\n", "count"),
+])
+def test_list_header_numbers_name_the_file_and_the_field(tmp_path, header, field):
+    code, lst = golay_list()
+    path = tmp_path / "x.txt"
+    fileio.write_weight_class(path, lst)
+    path.write_text(header + path.read_text().split("\n", 1)[1])
+    with pytest.raises(ValueError, match=f"x.txt: {field}= is not an integer"):
+        fileio.read_weight_class(path, code)
+
+
+@pytest.mark.parametrize("line,field", [("# code=golay-24-12 mu=0.99 M=10 q=ten", "q"),
+                                        ('# failure w=x "sampler failed"', "w")])
+def test_pwe_header_numbers_name_the_file_and_the_field(tmp_path, line, field):
+    code = get_code("golay-24-12")
+    pwe = PartialWeightEnumerator(code.name, (interval_from_stats(20, 0.5, 0.1, 10),), ((9, "none"),))
+    path = tmp_path / "pwe.csv"
+    fileio.write_pwe(path, pwe, mu=0.99, M=10, q=10)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0 if field == "q" else 1] = line + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=f"pwe.csv: {field}= is not an integer"):
+        fileio.read_pwe(path)
+
+
+@pytest.mark.parametrize("row", ["8", "8,759,1", "eight,759", "8,"])
+def test_weight_distribution_faults_name_the_file_and_the_row(tmp_path, row):
+    path = tmp_path / "we.csv"
+    path.write_text(f"w,count\n0,1\n{row}\n")
+    with pytest.raises(ValueError, match=f"we.csv: line 3: '{row}' is not a row w,count"):
+        fileio.read_weight_distribution(path)
