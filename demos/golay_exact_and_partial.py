@@ -24,7 +24,7 @@ def main():
 
     ctx = RateContext(code.n, code.k)
     full = {w: a for w, a in wd.counts if w > 0}
-    head = {8: wd[8]}
+    head = {8: full[8]}
     print("\nEb/N0   full-WE bound   A_8-only bound   ratio")
     for db in np.arange(1.0, 8.5, 0.5):
         b_full = union_bound_bit(full, ctx, float(db))

@@ -1,4 +1,5 @@
-"""Conversions between integer-packed words and numpy bit arrays."""
+"""Conversions between integer-packed words and numpy bit arrays, and their
+GF(2) product."""
 
 from __future__ import annotations
 
@@ -22,3 +23,12 @@ def bits_to_ints(bits: np.ndarray) -> list[int]:
     packed = np.packbits(bits, axis=1, bitorder="little")
     raw, size = packed.tobytes(), packed.shape[1]
     return [int.from_bytes(raw[at:at + size], "little") for at in range(0, len(raw), size)]
+
+
+def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The GF(2) product of 0/1 arrays, stacked as np.matmul stacks them,
+    as uint8.  Summed in float32 by the BLAS: exact while the inner
+    dimension is below 2^24, and several times faster than a uint8 product,
+    which numpy runs without BLAS."""
+    product = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
+    return (product.astype(np.int32) & 1).astype(np.uint8)

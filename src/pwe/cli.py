@@ -28,7 +28,7 @@ from .estimator import (
     estimate_pwe,
 )
 from .gf2 import poly_exponents
-from .harvest import HarvestConfig, harvest, merge_lists
+from .harvest import IMPULSE_MODES, HarvestConfig, harvest, merge_lists
 from .sim import SimConfig, simulate_curve
 
 USAGE_ERROR = 2
@@ -244,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", default=None, help="noise grid LO:HI:STEP (dB)")
     p.add_argument("--weights", default=None, help="weight window LO:HI")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--impulse-mode", default="gaussian_noise",
-                   choices=("gaussian_noise", "single_impulse_sweep", "noisy_impulse"))
+    p.add_argument("--impulse-mode", default="gaussian_noise", choices=IMPULSE_MODES)
     p.add_argument("--impulse-amplitude", type=float, default=None)
     p.add_argument("--out", required=True, help="output directory of list files")
     p.set_defaults(func=cmd_harvest)
@@ -259,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", default="exact", choices=("exact", "impulse"))
     p.add_argument("--decoder", default="osd:3", help="decoder for the impulse sampler")
     p.add_argument("--snr", default=None)
-    p.add_argument("--impulse-mode", default="noisy_impulse",
-                   choices=("gaussian_noise", "single_impulse_sweep", "noisy_impulse"))
+    p.add_argument("--impulse-mode", default="noisy_impulse", choices=IMPULSE_MODES)
     p.add_argument("--impulse-amplitude", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)

@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .bitops import ints_to_bits
+from .bitops import bits_to_ints, gf2_matmul, ints_to_bits
 from .gf2 import BitWord, GF2Matrix, poly_divmod, poly_from_exponents, poly_gcd, rref
 
 # Largest k whose 2^k codewords may be enumerated, as MLD_MAX_K caps MLD's
@@ -71,26 +71,20 @@ class WeightDistribution:
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
 
-    def __getitem__(self, w: int) -> int:
-        return next((a for v, a in self.counts if v == w), 0)
-
 
 # ---------------------------------------------------------------------------
 # Systematic form, in original coordinates
 # ---------------------------------------------------------------------------
 
 class SystematicForm(NamedTuple):
-    """A code's reduced generator R = rref(G) and what follows from it.
+    """A code's reduced generator R = rref(G), as bits.
 
     R carries the identity on its pivot columns, which are the information
     positions, so it encodes systematically without moving any coordinate.
     """
 
-    rows: tuple[int, ...]  # R; row i has its pivot at info_positions[i]
-    info_positions: tuple[int, ...]
+    info_positions: tuple[int, ...]  # R's pivot columns, row i's at info_positions[i]
     generator_bits: np.ndarray  # R as a k x n uint8 array
-    row_at: tuple[int, ...]  # n entries: R's row with its pivot at p, else 0
-    info_mask: int  # the bits of the information positions
 
 
 def _systematic_form(G: GF2Matrix) -> SystematicForm:
@@ -99,45 +93,29 @@ def _systematic_form(G: GF2Matrix) -> SystematicForm:
         raise ValueError(f"generator matrix is rank-deficient: rank {len(pivots)} < {G.nrows}")
     bits = ints_to_bits(R, G.ncols)
     bits.flags.writeable = False
-    row_at = [0] * G.ncols
-    for p, r in zip(pivots, R):
-        row_at[p] = r
-    return SystematicForm(R, tuple(pivots), bits, tuple(row_at), sum(1 << p for p in pivots))
+    return SystematicForm(tuple(pivots), bits)
 
 
 def encode(code: CodeSpec, info: BitWord) -> BitWord:
     """Systematic encoding of a k-bit information word."""
     if info.length != code.k:
         raise ValueError(f"information word length {info.length} != k = {code.k}")
-    v, word = info.value, 0
-    for i, r in enumerate(code.systematic.rows):
-        if v >> i & 1:
-            word ^= r
-    return BitWord(code.n, word)
+    bits = gf2_matmul(ints_to_bits([info.value], code.k), code.systematic.generator_bits)
+    return BitWord(code.n, bits_to_ints(bits)[0])
 
 
 def contains(code: CodeSpec, word: int) -> bool:
-    """Membership test of a word, an int below 2^n, by the rule of
-    codeword_rows: the XOR of R's rows at the word's set information
-    positions must equal the word.  Walks those set bits alone."""
+    """Membership test of a word, an int below 2^n: codeword_rows of one row."""
     if not 0 <= word < 1 << code.n:
         raise ValueError(f"word {word:#x} does not fit in n = {code.n} bits")
-    form = code.systematic
-    info, reencoded = word & form.info_mask, 0
-    while info:
-        p = info.bit_length() - 1
-        reencoded ^= form.row_at[p]
-        info ^= 1 << p
-    return reencoded == word
+    return bool(codeword_rows(code, ints_to_bits([word], code.n))[0])
 
 
 def codeword_rows(code: CodeSpec, bits: np.ndarray) -> np.ndarray:
     """Membership of each row of an m x n bit array, as m booleans: a row
     is a codeword when it equals the re-encoding of its information bits."""
     form = code.systematic
-    info = bits[:, form.info_positions].astype(np.float32)  # exact: sums stay below 2^24
-    reencoded = (info @ form.generator_bits).astype(np.int32) & 1
-    return np.all(reencoded == bits, axis=1)
+    return np.all(gf2_matmul(bits[:, form.info_positions], form.generator_bits) == bits, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +208,20 @@ def _is_prime(p: int) -> bool:
 def qr_generator_polynomial(p: int) -> int:
     """Generator polynomial of the binary quadratic-residue code of length p.
 
-    Built as gcd(x^p + 1, θ) where θ is the residue-exponent sum; idempotent
-    variants are tried until a degree-(p-1)/2 factor appears.
+    Built as gcd(x^p + 1, θ), θ the sum of x^r over the residues r when
+    p ≡ 7 (mod 8), else 1 plus the sum over the non-residues.
     """
     if not _is_prime(p) or p % 8 not in (1, 7):
         raise ValueError("p must be a prime with 2 a quadratic residue (p ≡ ±1 mod 8)")
     qr = quadratic_residues(p)
-    nqr = set(range(1, p)) - qr
-    theta = poly_from_exponents(qr)
-    theta_n = poly_from_exponents(nqr) ^ 1
-    target = (p - 1) // 2
-    for cand in (theta, theta_n, theta ^ 1):
-        g = poly_gcd(1 << p | 1, cand)
-        if g.bit_length() - 1 == target:
-            return g
-    raise ValueError(f"no quadratic-residue generator of degree {target} found for p = {p}")
+    if p % 8 == 7:
+        theta = poly_from_exponents(qr)
+    else:
+        theta = poly_from_exponents(set(range(1, p)) - qr) ^ 1
+    g, target = poly_gcd(1 << p | 1, theta), (p - 1) // 2
+    if g.bit_length() - 1 != target:
+        raise ValueError(f"no quadratic-residue generator of degree {target} found for p = {p}")
+    return g
 
 
 # ---------------------------------------------------------------------------

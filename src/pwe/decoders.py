@@ -316,7 +316,7 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     earlier patterns win ties; on inputs whose sums are exact, such as dyadic
     values, ties resolve exactly.
 
-    Screen.  Order >= 2 scores every pattern in float32 first, and a row takes
+    Screen.  Order >= 1 scores every pattern in float32 first, and a row takes
     the float32 winner only if every other pattern of weight 0..order scores
     more than 2·bound above it, bound = (n + 2)·(2^-24 + 2^-53)·sum|r_i| +
     (2n + 2)·2^-126; every other row is scored again in float64.  Proof that
@@ -374,17 +374,16 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     if order:
         base_red = (red_cols @ info[:, :, np.newaxis])[:, :, 0] & 1
         parts = red_cols, r_ranked[each, red], base_red, r_mrb
-        # Orders 2 and up screen in float32 (see Screen above).
-        dtype = np.float32 if order > 1 else np.float64
         total = np.abs(received).sum(axis=1)
         bound = np.where((total < 2.0 ** 127) & (n * (n + 1) < 1 << 24),
                          (n + 2) * (2.0 ** -24 + 2.0 ** -53) * total + (2 * n + 2) * 2.0 ** -126, np.inf)
-        # Per row: sigma, head products and as much for a group, or one row of scores.
+        # Per row, in float32 (see Screen above): sigma, head products and as
+        # much for a group, or one row of scores.
         scratch = 2 * math.comb(k, order - 2) * (n - k) if order > 1 else n
-        step = max(1, _CHUNK_BYTES // (np.dtype(dtype).itemsize * (scratch + k * (n - k))))
+        step = max(1, _CHUNK_BYTES // (4 * (scratch + k * (n - k))))
         for lo in range(0, B, step):
-            won_t, won, gap = _reprocess(parts, slice(lo, lo + step), order, dtype)
-            unsure = np.flatnonzero(~(gap > 2 * bound[lo:lo + step])) if order > 1 else []
+            won_t, won, gap = _reprocess(parts, slice(lo, lo + step), order, np.float32)
+            unsure = np.flatnonzero(~(gap > 2 * bound[lo:lo + step]))
             if len(unsure):  # NaN gaps too
                 won_t[unsure], won[unsure], _ = _reprocess(parts, lo + unsure, order, np.float64)
             for b in np.flatnonzero(won_t):
@@ -408,7 +407,7 @@ def decode_batch(kind: DecoderKind, code: CodeSpec, received) -> np.ndarray:
     argmin, if the float32 runner-up scores more than the bound above it; else
     the float64 argmin, which settles exact ties.  Each certificate proves the
     float64 argmin's word, so the outputs are those of float64 scoring alone.
-    OSD is described in _osd_batch.  At order >= 2 it scores its flip
+    OSD is described in _osd_batch.  At order >= 1 it scores its flip
     patterns in float32 and takes a row's float32 winner when every other
     pattern of weight 0..order scores more than 2·bound above it, bound =
     (n + 2)·(2^-24 + 2^-53)·sum|r_i| + (2n + 2)·2^-126, which exceeds the

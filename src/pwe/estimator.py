@@ -116,7 +116,8 @@ class ImpulseSampler:
     empty, the sampler refills: it draws REFILL_BLOCK impulse trials from
     ``rng`` as arrays (see harvest._trial_block), decodes them in one call
     and queues every find under its weight, so the trials of a weight-27
-    draw also stock the weight-28 draws.  No find is handed out twice.
+    draw also stock the weight-28 draws.  No find is handed out twice, and
+    a decoded word that is not a codeword raises ValueError, as in harvest.
 
     ``budget`` bounds the trials one draw may run without a weight-w find:
     the last refill is cut to the budget left, and after ``budget`` such

@@ -17,8 +17,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .bitops import bits_to_ints, bpsk
-from .codes import CodeSpec, contains
+from .bitops import bits_to_ints, bpsk, gf2_matmul
+from .codes import CodeSpec, codeword_rows, contains
 # encode is not called here; bench/spans.py traces it at this site.
 from .codes import encode  # noqa: F401
 from .decoders import DecoderKind, decode_batch
@@ -117,10 +117,12 @@ def _trial_block(code: CodeSpec, config: HarvestConfig, rng: np.random.Generator
     modes the indices into snr_grid_db, the standard normal noise (size x n)
     and, for noisy_impulse, the impulse positions.  All ``size`` trials are
     drawn whatever ``keep`` is, so the first trials of a block do not depend
-    on how many are kept.
+    on how many are kept.  Raises ValueError if a decoded word is not a
+    codeword: the one membership check of a find, since automorphisms map
+    codewords to codewords of the same weight.
     """
     info = rng.integers(0, 2, size=(size, code.k), dtype=np.uint8)
-    sent = (info @ code.systematic.generator_bits) & 1
+    sent = gf2_matmul(info, code.systematic.generator_bits)
     tx = bpsk(sent)
     if config.impulse_mode == "single_impulse_sweep":
         pos = rng.integers(code.n, size=size)
@@ -135,6 +137,8 @@ def _trial_block(code: CodeSpec, config: HarvestConfig, rng: np.random.Generator
             rows, pos = np.arange(size), rng.integers(code.n, size=size)
             received[rows, pos] -= amplitude * tx[rows, pos]
         decoded = decode_batch(config.decoder, code, received[:keep])
+    if not codeword_rows(code, decoded).all():
+        raise ValueError(f"decoder {config.decoder} returned a non-codeword")
     return bits_to_ints(sent[:keep] ^ decoded)
 
 
@@ -214,10 +218,6 @@ def harvest(code: CodeSpec, config: HarvestConfig) -> dict[int, WeightClassList]
             lo, hi = config.weight_window or (d_est, d_est + 5)
             if not lo <= w <= hi:
                 continue
-            # The one membership check of a find: automorphisms map codewords
-            # to codewords of the same weight, so its orbit needs none.
-            if not contains(code, c3):
-                raise ValueError(f"decoder {config.decoder} returned a non-codeword")
             raw.setdefault(w, set()).update(cyclic_orbit(code, c3))
     return {w: WeightClassList(code, w, raw[w]) for w in sorted(raw) if lo <= w <= hi}
 

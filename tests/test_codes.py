@@ -47,17 +47,6 @@ def test_hamming_weight_distribution():
     assert sum(a for _, a in wd.counts) == 2**4
 
 
-def test_weight_lookup_does_not_rebuild_the_dict(monkeypatch):
-    wd = exact_weight_distribution(get_code("golay-24-12"))
-
-    def rebuilt(self):
-        raise AssertionError("as_dict called by a lookup")
-
-    monkeypatch.setattr(type(wd), "as_dict", rebuilt)
-    assert wd[8] == 759
-    assert wd[9] == 0
-
-
 def test_minimum_distances():
     for name, d in (("hamming-7-4", 3), ("golay-24-12", 8), ("qr-23-12", 7)):
         counts = exact_weight_distribution(get_code(name)).counts
@@ -111,13 +100,13 @@ def test_membership_rejects_non_codewords():
         assert member == [in_span(code, w) for w in words], name
 
 
-def test_contains_agrees_with_codeword_rows_on_low_weight_words():
-    # contains walks only the word's set information bits: words of weight
-    # 0 to 3, words set only on information or only on redundancy
-    # positions, low-weight codewords and random words, on every catalog code.
+def test_contains_agrees_with_in_span_on_low_weight_words():
+    # Words of weight 0 to 3, words set only on information or only on
+    # redundancy positions, low-weight codewords and random words, on every
+    # catalog code, against the rank of G.
     rng = np.random.default_rng(26)
     for name, code in catalog().items():
-        n, mask = code.n, code.systematic.info_mask
+        n, mask = code.n, sum(1 << p for p in code.systematic.info_positions)
         low = [0] + [1 << i for i in range(n)]
         low += [sum(1 << int(i) for i in rng.choice(n, size=w, replace=False))
                 for w in (2, 3) for _ in range(50)]
@@ -125,7 +114,7 @@ def test_contains_agrees_with_codeword_rows_on_low_weight_words():
         words = low + [w & mask for w in randoms] + [w & ~mask for w in randoms] + randoms
         words += [encode(code, BitWord(code.k, 1 << i)).value for i in range(code.k)]
         member = [contains(code, w) for w in words]
-        assert member == codeword_rows(code, ints_to_bits(words, n)).tolist(), name
+        assert member == [in_span(code, w) for w in words], name
         assert sum(member) >= code.k + 1, name
 
 
@@ -171,7 +160,7 @@ def test_no_weights_below_known_distance():
 
 def test_codewords_of_weight_agrees_with_distribution():
     code = get_code("golay-24-12")
-    wd = exact_weight_distribution(code)
+    wd = exact_weight_distribution(code).as_dict()
     words = codewords_of_weight(code, 8)
     assert len(words) == wd[8] == 759
     assert all(v.bit_count() == 8 for v in words)
@@ -229,10 +218,17 @@ def test_quadratic_residues_mod_23():
 
 
 def test_qr_generator_polynomial_properties():
-    for p, half in ((23, 11), (47, 23)):
+    # Every prime p ≡ ±1 (mod 8) below 200, from either branch of the rule.
+    primes = [p for p in range(3, 200) if all(p % f for f in range(2, p))]
+    lengths = [p for p in primes if p % 8 in (1, 7)]
+    assert {p % 8 for p in lengths} == {1, 7} and len(lengths) == 20
+    for p in lengths:
         g = qr_generator_polynomial(p)
-        assert g.bit_length() - 1 == half
-        assert poly_divmod(1 << p | 1, g)[1] == 0
+        assert g.bit_length() - 1 == (p - 1) // 2, p
+        assert poly_divmod(1 << p | 1, g)[1] == 0, p
+    for p in (5, 13, 15):
+        with pytest.raises(ValueError):
+            qr_generator_polynomial(p)
 
 
 def test_bch_63_39_generator_constant():

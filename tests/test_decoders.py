@@ -310,7 +310,7 @@ def osd_fallback_rows(monkeypatch):
     seen, reprocess = [], decoders._reprocess
 
     def recorded(parts, rows, order, dtype):
-        if dtype == np.float64 and order > 1:
+        if dtype == np.float64:
             seen.extend(np.asarray(rows).tolist())
         return reprocess(parts, rows, order, dtype)
 
@@ -343,30 +343,40 @@ def exactly_tied(code, rows, order):
     return tied
 
 
-@pytest.mark.parametrize("name", ["golay-24-12", "bch-127-50", "bch-130-66"])
-def test_osd_exact_ties_go_to_float64(monkeypatch, name):
+def by_order(names, orders=(3, 1)):
+    """(name, order) cases, each named by its code, and its order below 3."""
+    cases = [(name, order) for order in orders for name in names]
+    return pytest.mark.parametrize("name,order", cases, ids=[
+        name if order == 3 else f"{name}-order{order}" for name, order in cases])
+
+
+@by_order(["golay-24-12", "bch-127-50", "bch-130-66"])
+def test_osd_exact_ties_go_to_float64(monkeypatch, name, order):
     # On dyadic inputs every score is exact in float32 too, so a row whose
-    # winner ties another pattern has a float32 gap of 0.
+    # winner ties another pattern has a float32 gap of 0.  Order 1 has fewer
+    # patterns to tie, so it decodes twice as many rows.
     code = get_code(name)
-    received = np.array(list(tie_heavy(code, np.random.default_rng([50, code.n]), 16)))
+    rounds = 16 if order > 1 else 32
+    received = np.array(list(tie_heavy(code, np.random.default_rng([50, code.n]), rounds)))
     seen = osd_fallback_rows(monkeypatch)
-    decode_batch(DecoderKind("osd", 3), code, received)
-    tied = exactly_tied(code, received, 3)
+    decode_batch(DecoderKind("osd", order), code, received)
+    tied = exactly_tied(code, received, order)
     assert len(tied) >= 8 and {tuple(r) for r in tied} <= {tuple(received[b]) for b in seen}
 
 
-@pytest.mark.parametrize("name", ["golay-24-12", "bch-127-50"])
-def test_osd_near_ties_decode_as_float64(name):
+@by_order(["golay-24-12", "bch-127-50"])
+def test_osd_near_ties_decode_as_float64(name, order):
     # Exactly tied rows moved by about float32's rounding of their scores:
     # the screen must not take a float32 winner that float64 ranks second.
     code = get_code(name)
     rng = np.random.default_rng([53, code.n])
-    tied = exactly_tied(code, tie_heavy(code, rng, 16), 3)
+    tied = exactly_tied(code, tie_heavy(code, rng, 16), order)
+    assert len(tied) >= 8
     received = np.array([r + offset * rng.normal(size=code.n)
                          for r in tied for offset in (1e-7, 3e-7, 1e-6) for _ in range(3)])
-    out = decode_batch(DecoderKind("osd", 3), code, received)
+    out = decode_batch(DecoderKind("osd", order), code, received)
     for r, word in zip(received, bits_to_ints(out)):
-        assert word == reference_osd_decode(code, r, 3)
+        assert word == reference_osd_decode(code, r, order)
 
 
 def test_osd_rows_that_could_overflow_float32_go_to_float64(monkeypatch):

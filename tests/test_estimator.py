@@ -237,6 +237,16 @@ def test_impulse_sampler_runs_exactly_its_budget(monkeypatch, budget):
     assert max(rows) <= estimator.REFILL_BLOCK
 
 
+def test_impulse_sampler_rejects_a_non_codeword_find(monkeypatch):
+    def weight_one(kind, code, received):
+        return np.eye(len(received), code.n, dtype=np.uint8)
+
+    monkeypatch.setattr(harvest, "decode_batch", weight_one)
+    sampler = ImpulseSampler(get_code("qr-23-12"), mld_config(), budget=100)
+    with pytest.raises(ValueError, match="non-codeword"):
+        sampler.draw(1, np.random.default_rng(71))
+
+
 def test_impulse_sampler_is_reproducible():
     code = get_code("golay-24-12")
     weights = (8, 12, 8, 8, 12, 12, 8)

@@ -1,8 +1,10 @@
-"""Bit-packed GF(2) words, polynomials (ints), and matrix rows (ints)."""
+"""Bit-packed GF(2) words, polynomials (ints), matrix rows (ints), and the
+GF(2) product of bit arrays."""
 
 import numpy as np
 import pytest
 
+from pwe.bitops import gf2_matmul
 from pwe.gf2 import (
     BitWord,
     poly_divmod,
@@ -113,3 +115,19 @@ def test_rref_idempotence_and_rank():
         for i, p in enumerate(pivots):
             assert [r >> p & 1 for r in R] == [int(j == i) for j in range(6)]
         assert not any(R[len(pivots):])
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((40, 50), (50, 127)), ((7, 300), (300, 9)),
+                                             ((3, 5, 300), (3, 300, 1)), ((4, 6, 11), (11, 2))],
+                         ids=["2d", "2d-inner-300", "batched-inner-300", "batched-times-2d"])
+def test_gf2_matmul_matches_int64_product(a_shape, b_shape):
+    # An inner dimension of 300 sums past 255; float32 is exact below 2^24.
+    rng = np.random.default_rng(16)
+    a = rng.integers(0, 2, size=a_shape, dtype=np.uint8)
+    b = rng.integers(0, 2, size=b_shape, dtype=np.uint8)
+    got = gf2_matmul(a, b)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, (a.astype(np.int64) @ b.astype(np.int64)) & 1)
+    ones = np.ones(a_shape, dtype=np.uint8)
+    assert np.array_equal(gf2_matmul(ones, np.ones(b_shape, dtype=np.uint8)),
+                          np.full(got.shape, a_shape[-1] & 1))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwe.bitops import bits_to_ints, bpsk, ints_to_bits
-from pwe.codes import catalog, codewords_of_weight, contains, encode, get_code
+from pwe.codes import catalog, codeword_rows, codewords_of_weight, contains, encode, get_code
 from pwe.decoders import DecoderKind, decode, decode_batch, parse_decoder
 from pwe.gf2 import BitWord
 from pwe.harvest import (
@@ -290,16 +290,22 @@ def test_merge_lists_deduplicates():
 
 
 def test_harvest_checks_each_find_once_not_each_image(monkeypatch):
-    calls = []
+    # One membership check a block of decoded words, none for the orbit
+    # images and none through contains.
+    blocks = []
 
-    def counting(code, word):
-        calls.append(word)
-        return contains(code, word)
+    def counting(code, bits):
+        blocks.append(len(bits))
+        return codeword_rows(code, bits)
 
-    monkeypatch.setattr("pwe.harvest.contains", counting)
-    trials = 200
+    def refused(code, word):
+        raise AssertionError("contains called by a harvest")
+
+    monkeypatch.setattr("pwe.harvest.codeword_rows", counting)
+    monkeypatch.setattr("pwe.harvest.contains", refused)
+    trials = 600
     lists = harvest(get_code("qr-23-12"), mld_cfg(trials, 57))
-    assert len(calls) <= trials
+    assert blocks == [512, 88]
     assert sum(len(lst) for lst in lists.values()) > trials
 
 
@@ -316,5 +322,5 @@ def test_harvest_rejects_a_non_codeword_find(monkeypatch):
         return np.eye(len(received), code.n, dtype=np.uint8)
 
     monkeypatch.setattr("pwe.harvest.decode_batch", weight_one)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-codeword"):
         harvest(get_code("qr-23-12"), mld_cfg(1, 58))
