@@ -17,7 +17,6 @@ __all__ = [
     "q_function",
     "union_bound_word",
     "union_bound_bit",
-    "truncated_bound",
     "bound_curve",
 ]
 
@@ -90,28 +89,13 @@ def union_bound_bit(weights, ctx: RateContext, ebn0_db: float) -> float:
     return math.fsum(_terms(weights, ctx, ebn0_db, per_bit=True))
 
 
-def truncated_bound(pwe, ctx: RateContext, ebn0_db: float,
-                    with_interval: bool = False):
-    """Bit union bound truncated to a PWE's weight classes.
-
-    Uses the point estimates; with_interval=True also evaluates the bound at
-    the lower and upper ends of each count interval, returned as
-    (value, lower, upper).
-    """
-    if not pwe.entries:
-        raise ValueError("empty partial weight enumerator")
-    est = {e.w: e.count_estimate for e in pwe.entries}
-    value = union_bound_bit(est, ctx, ebn0_db)
-    if not with_interval:
-        return value
-    lo = union_bound_bit({e.w: e.count_interval[0] for e in pwe.entries}, ctx, ebn0_db)
-    hi = union_bound_bit({e.w: e.count_interval[1] for e in pwe.entries}, ctx, ebn0_db)
-    return value, lo, hi
-
-
 def bound_curve(weights_or_pwe, ctx: RateContext, snr_grid_db: Sequence[float],
                 kind: str = "bit_bound") -> BoundCurve:
-    """Evaluate the selected bound pointwise over an increasing grid."""
+    """Evaluate the selected bound pointwise over an increasing grid.
+
+    "truncated_bound" is the bit bound truncated to a PWE's weight classes,
+    at its count estimates, with the bound at the lower and upper ends of
+    each count interval as the point's interval."""
     grid = [float(x) for x in snr_grid_db]
     if not grid:
         raise ValueError("empty SNR grid")
@@ -122,11 +106,13 @@ def bound_curve(weights_or_pwe, ctx: RateContext, snr_grid_db: Sequence[float],
         pts = [(db, union_bound_bit(weights_or_pwe, ctx, db)) for db in grid]
         return BoundCurve(kind, tuple(pts))
     if kind == "truncated_bound":
-        pts = []
-        ivs = []
-        for db in grid:
-            v, lo, hi = truncated_bound(weights_or_pwe, ctx, db, with_interval=True)
-            pts.append((db, v))
-            ivs.append((lo, hi))
-        return BoundCurve(kind, tuple(pts), tuple(ivs))
+        entries = weights_or_pwe.entries
+        if not entries:
+            raise ValueError("empty partial weight enumerator")
+        est = {e.w: e.count_estimate for e in entries}
+        lo = {e.w: e.count_interval[0] for e in entries}
+        hi = {e.w: e.count_interval[1] for e in entries}
+        pts = tuple((db, union_bound_bit(est, ctx, db)) for db in grid)
+        ivs = tuple((union_bound_bit(lo, ctx, db), union_bound_bit(hi, ctx, db)) for db in grid)
+        return BoundCurve(kind, pts, ivs)
     raise ValueError(f"unknown bound kind {kind!r}")

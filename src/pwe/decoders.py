@@ -49,55 +49,98 @@ def parse_decoder(text: str) -> DecoderKind:
     raise ValueError(f"unknown decoder string {text!r} (expected 'mld' or 'osd:L')")
 
 
-# Largest k whose whole codebook MLD may hold: the bits and their float64 and
-# float32 images, 13·2^k·n bytes, and one float32 score block of _MLD_ROWS rows
-# (16 MB at k = 16) reused for a whole batch, so the peak memory does not depend
-# on how many rows each batch screens; float64 fallback rows take 2^k·8 bytes each.
+# Largest k whose whole codebook MLD may hold: the bits and their float32
+# image, 5·2^k·n bytes.  _mld_scores scores _MLD_ROWS rows at a time, in one
+# block per call (16 MB in float32 at k = 16), however many rows a batch
+# scores; a batch with float64 fallback rows builds the float64 image too.
 MLD_MAX_K, _MLD_ROWS = 16, 64
 
 
 @functools.lru_cache(maxsize=8)
-def _codebook(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _codebook(code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     """All codewords as a 2^k x n bit array in lexicographic (b_0, b_1, ...)
-    order, and its float64 and float32 images."""
+    order, and its float32 image."""
     if code.k > MLD_MAX_K:
         raise ValueError(f"MLD needs k <= {MLD_MAX_K}, got k = {code.k}")
     bits = np.concatenate([np.unpackbits(chunk.view(np.uint8), axis=1, count=code.n,
                                          bitorder="little") for chunk in _codeword_chunks(code)])
     bits = bits[np.lexsort(bits.T[::-1])]
-    image, image32 = bits.astype(np.float64), bits.astype(np.float32)
-    bits.flags.writeable = image.flags.writeable = image32.flags.writeable = False
-    return bits, image, image32
+    image32 = bits.astype(np.float32)
+    bits.flags.writeable = image32.flags.writeable = False
+    return bits, image32
 
 
-def _mld_exact(image: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each row's first float64 argmin of (dist² - const)/4 over the codebook."""
-    return np.argmin(rows @ image.T, axis=1)
+def _rounding_bound(received: np.ndarray) -> np.ndarray:
+    """Per row r of a B x n block, a bound on e32 + e64, the float32 plus the
+    float64 rounding error of any score that sums N <= n terms a_i with
+    sum|a_i| <= sum|r_i|, each an entry of r rounded to the score's dtype
+    and multiplied by 0, +-1/2 or +-1:
+
+        bound = (n + 2)·(2^-24 + 2^-53)·sum|r_i| + (2n + 2)·2^-126.
+
+    An MLD score sum r_i·c_i is such a sum, and so is an OSD pattern score
+    (see _osd_batch).  Proof: forming a term in float32 errs by at most
+    2^-24·|a_i| + 2^-126 (subnormal, or flushed to zero), and any order of
+    summing N terms, the BLAS's included, by at most gamma_(N-1) = (N - 1)u/
+    (1 - (N - 1)u) times the sum of their magnitudes, u = 2^-24, plus 2^-126
+    a flushed addition.  With n(n + 1)·2^-24 <= 1, e32 is at most (n + 1)·
+    2^-24·sum|r_i| + (2n - 1 + gamma·n)·2^-126, and e64 likewise at most
+    (n + 1)·2^-53·sum|r_i| + 2n·2^-1022; the spare unit in n + 2 covers the
+    float64 rounding of sum|r_i| and of bound itself, so e32 + e64 <= bound.
+
+    So if S32(x) < S32(y) - 2·bound for every candidate y != x, then S64(x)
+    <= S32(x) + e32 + e64 < S32(y) + e32 + e64 - 2·bound <= S(y) + 2·e32 +
+    e64 - 2·bound <= S(y) - e64 <= S64(y): float64 ranks x strictly first,
+    whatever its tie rules.  A gap is the float64 difference of two float32
+    scores, and rounding is monotone, so a gap above 2·bound is an exact one.
+    bound is +inf, and every row falls back, from sum|r_i| = 2^127 on, where
+    float32 sums could overflow, and where n(n + 1) >= 2^24.
+    """
+    n = received.shape[1]
+    total = np.abs(received).sum(axis=1)
+    return np.where((total < 2.0 ** 127) & (n * (n + 1) < 1 << 24),
+                    (n + 2) * (2.0 ** -24 + 2.0 ** -53) * total + (2 * n + 2) * 2.0 ** -126, np.inf)
+
+
+def _screened(score, rows: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The winners of block rows, score(rows, dtype) giving each row's winner
+    in dtype and its float64 gap to the runner-up: float32's if the gap
+    exceeds 2·bound (see _rounding_bound), else float64's, NaN and 0 too."""
+    won, gap = score(rows, np.float32)
+    unsure = np.flatnonzero(~(gap > 2 * bound[rows]))
+    if len(unsure):
+        won[unsure] = score(rows[unsure], np.float64)[0]
+    return won
+
+
+def _mld_scores(received: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first argmin of (dist² - const)/4 over the codebook image,
+    scored in the image's dtype _MLD_ROWS rows at a time, and the float64 gap
+    from it to the runner-up."""
+    best, gap = np.empty(len(received), np.intp), np.empty(len(received))
+    block = np.empty((min(len(received), _MLD_ROWS), len(image)), image.dtype)
+    for at in range(0, len(received), _MLD_ROWS):
+        part, rows = slice(at, at + _MLD_ROWS), received[at:at + _MLD_ROWS]
+        scores = np.matmul(rows.astype(image.dtype), image.T, out=block[:len(rows)])
+        each, best[part] = np.arange(len(rows)), scores.argmin(axis=1)
+        low = scores[each, best[part]].astype(np.float64)
+        scores[each, best[part]] = np.inf
+        gap[part] = scores.min(axis=1) - low
+    return best, gap
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing rows get bound +inf
 def _mld_batch(code: CodeSpec, received: np.ndarray) -> np.ndarray:
     """MLD of each row of a B x n block, certificates first (see decode_batch)."""
-    bits, image, image32 = _codebook(code)
-    size = np.abs(received)
-    total = size.sum(axis=1)
-    # Four float32 score errors; +inf where float32 sums could overflow.
-    bound = np.where(total < 2.0 ** 127,
-                     4 * ((code.n + 2) * 2.0 ** -24 * total + code.n * 2.0 ** -126), np.inf)
+    bits, image32 = _codebook(code)
+    bound = _rounding_bound(received)
     out = (received < 0).astype(np.uint8)
-    rest = np.flatnonzero(~(codeword_rows(code, out) & (size.min(axis=1) > bound)))
-    best, gap = np.empty(len(rest), np.intp), np.empty(len(rest))
-    block = np.empty((min(len(rest), _MLD_ROWS), len(bits)), np.float32)
-    for at in range(0, len(rest), _MLD_ROWS):
-        rows, part = rest[at:at + _MLD_ROWS], slice(at, at + _MLD_ROWS)
-        scores = np.matmul(received[rows].astype(np.float32), image32.T, out=block[:len(rows)])
-        each, best[part] = np.arange(len(rows)), scores.argmin(axis=1)
-        low = scores[each, best[part]].astype(np.float64)
-        scores[each, best[part]] = np.inf
-        gap[part] = scores.min(axis=1) - low
-    unsure = ~(gap > bound[rest])  # NaN gaps are unsure too
-    best[unsure] = _mld_exact(image, received[rest[unsure]])
-    out[rest] = bits[best]
+    rest = np.flatnonzero(~(codeword_rows(code, out) & (np.abs(received).min(axis=1) > 2 * bound)))
+
+    def score(rows, dtype):
+        return _mld_scores(received[rows], image32 if dtype == np.float32 else bits.astype(dtype))
+
+    out[rest] = bits[_screened(score, rest, bound)]
     return out
 
 
@@ -208,15 +251,15 @@ def _bands(k: int, t: int, B: int) -> tuple[tuple, np.ndarray, np.ndarray]:
 
 
 def _best_patterns(sigma: np.ndarray, red_weight: np.ndarray, flip_gain: np.ndarray,
-                   order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The winning flip pattern of each row (see _osd_batch): its weight t,
-    0 for none, and its positions, the first t entries of a B x order array;
-    and, in float64, the least score of any other pattern of weight 0..order
-    less the winner's, NaN if a score is NaN.  Scores in the inputs' dtype."""
+                   order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The winning flip pattern of each row (see _osd_batch) as a B x k 0/1
+    mask, and, in float64, the least score of any other pattern of weight
+    0..order less the winner's, NaN if a score is NaN.  Scores in the
+    inputs' dtype."""
     B, k, K = sigma.shape
     rows, best = np.arange(B), red_weight.sum(axis=1)
     runner = np.full(B, np.inf, dtype=best.dtype)
-    won_t, won = np.zeros(B, dtype=np.intp), np.zeros((B, order), dtype=np.intp)
+    flips = np.zeros((B, k), dtype=np.uint8)
     for t in range(1, order + 1):
         if t == 1:
             scores = (red_weight[:, np.newaxis, :] @ sigma.transpose(0, 2, 1))[:, 0] + flip_gain
@@ -269,13 +312,13 @@ def _best_patterns(sigma: np.ndarray, red_weight: np.ndarray, flip_gain: np.ndar
         runner = np.minimum(np.minimum(runner, second), np.maximum(best, low))
         # A later order replaces the best only if strictly lower: the first
         # order reaching the least score wins.
-        better = low < best
-        best[better], won_t[better] = low[better], t
-        won[better, :t] = pattern[better]
-    return won_t, won, runner.astype(np.float64) - best
+        better = np.flatnonzero(low < best)
+        best[better], flips[better] = low[better], 0
+        flips[better[:, np.newaxis], pattern[better]] = 1
+    return flips, runner.astype(np.float64) - best
 
 
-def _reprocess(parts: tuple, rows, order: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reprocess(parts: tuple, rows, order: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """_best_patterns of the given rows of a block, scored in dtype; parts are
     the block's redundancy columns of R, r on them, the base codeword on them,
     and r on the MRB."""
@@ -316,30 +359,13 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     earlier patterns win ties; on inputs whose sums are exact, such as dyadic
     values, ties resolve exactly.
 
-    Screen.  Order >= 1 scores every pattern in float32 first, and a row takes
-    the float32 winner only if every other pattern of weight 0..order scores
-    more than 2·bound above it, bound = (n + 2)·(2^-24 + 2^-53)·sum|r_i| +
-    (2n + 2)·2^-126; every other row is scored again in float64.  Proof that
-    the outputs are those of float64 scoring alone: pattern x's score is a sum
-    of N = |x| + n - k <= n terms a_i, flip gains and +-r/2 on the redundancy
-    positions, with sum|a_i| <= sum|r_i|; multiplying by sigma = +-1 and
+    Screen.  Order >= 1 scores every pattern in float32 first and scores
+    again in float64 the rows whose float32 winner it cannot prove
+    (_screened).  Pattern x's score is a sum of N = |x| + n - k <= n terms
+    a_i, flip gains and +-r/2 on the redundancy positions, with sum|a_i| <=
+    sum|r_i|, so _rounding_bound covers it; multiplying by sigma = +-1 and
     adding a mask of 0 are exact, and +inf masks only non-patterns and
-    duplicates.  Rounding a term to float32 errs by at most 2^-24·|a_i| +
-    2^-126 (subnormal, or flushed to zero), and any order of summing N terms,
-    the BLAS's included, by at most gamma_(N-1) = (N - 1)u/(1 - (N - 1)u)
-    times the sum of their magnitudes, u = 2^-24, plus 2^-126 a flushed
-    addition.  With n(n + 1)·2^-24 <= 1 the float32 error e32 is at most
-    (n + 1)·2^-24·sum|r_i| + (2n - 1 + gamma·n)·2^-126, and the float64 score
-    error e64 is likewise at most (n + 1)·2^-53·sum|r_i| + 2n·2^-1022; the
-    spare unit in n + 2 covers the float64 rounding of sum|r_i| and of bound
-    itself, so e32 + e64 <= bound.  If S32(x) < S32(y) - 2·bound for every
-    y != x, then S64(x) <= S32(x) + e32 + e64 < S32(y) + e32 + e64 - 2·bound
-    <= S(y) + 2·e32 + e64 - 2·bound <= S(y) - e64 <= S64(y): float64 ranks x
-    strictly first, whatever its tie rules.  The gap is the float64
-    difference of two float32 scores, and rounding is monotone, so a gap
-    above 2·bound is an exact one.  bound is +inf, and every row falls back,
-    from sum|r_i| = 2^127 on, where float32 sums could overflow, and where
-    n(n + 1) >= 2^24.  NaN gaps and exact ties (gap 0) fall back too.
+    duplicates.
     """
     (B, n), k = received.shape, code.k
     if order > k:
@@ -374,20 +400,17 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     if order:
         base_red = (red_cols @ info[:, :, np.newaxis])[:, :, 0] & 1
         parts = red_cols, r_ranked[each, red], base_red, r_mrb
-        total = np.abs(received).sum(axis=1)
-        bound = np.where((total < 2.0 ** 127) & (n * (n + 1) < 1 << 24),
-                         (n + 2) * (2.0 ** -24 + 2.0 ** -53) * total + (2 * n + 2) * 2.0 ** -126, np.inf)
+        bound = _rounding_bound(received)
+
+        def score(rows, dtype):
+            return _reprocess(parts, rows, order, dtype)
+
         # Per row, in float32 (see Screen above): sigma, head products and as
         # much for a group, or one row of scores.
         scratch = 2 * math.comb(k, order - 2) * (n - k) if order > 1 else n
         step = max(1, _CHUNK_BYTES // (4 * (scratch + k * (n - k))))
-        for lo in range(0, B, step):
-            won_t, won, gap = _reprocess(parts, slice(lo, lo + step), order, np.float32)
-            unsure = np.flatnonzero(~(gap > 2 * bound[lo:lo + step]))
-            if len(unsure):  # NaN gaps too
-                won_t[unsure], won[unsure], _ = _reprocess(parts, lo + unsure, order, np.float64)
-            for b in np.flatnonzero(won_t):
-                info[lo + b, won[b, :won_t[b]]] ^= 1
+        for chunk in np.split(rows, range(step, B, step)):
+            info[chunk] ^= _screened(score, chunk, bound)
     out = np.empty((B, n), dtype=np.uint8)
     out[each, rank_order[each, mrb]] = info
     out[each, rank_order[each, red]] = (red_cols @ info[:, :, np.newaxis])[:, :, 0] & 1
@@ -399,22 +422,17 @@ def decode_batch(kind: DecoderKind, code: CodeSpec, received) -> np.ndarray:
 
     MLD picks the codeword with the least correlation sum r_i·c_i, ties going
     to the lexicographically smallest bit sequence (b_0, b_1, ...): the first
-    float64 argmin over the sorted codebook.  Let bound = 4·((n + 2)·2^-24·
-    sum|r_i| + n·2^-126), four times the error of any float32 score, subnormal
-    inputs flushed to zero or not, or +inf from sum|r_i| = 2^127 on, where
-    float32 sums could overflow.  A row's hard decision (r < 0) is taken if
-    it is a codeword and every |r_i| exceeds the bound; else the float32
-    argmin, if the float32 runner-up scores more than the bound above it; else
-    the float64 argmin, which settles exact ties.  Each certificate proves the
-    float64 argmin's word, so the outputs are those of float64 scoring alone.
-    OSD is described in _osd_batch.  At order >= 1 it scores its flip
-    patterns in float32 and takes a row's float32 winner when every other
-    pattern of weight 0..order scores more than 2·bound above it, bound =
-    (n + 2)·(2^-24 + 2^-53)·sum|r_i| + (2n + 2)·2^-126, which exceeds the
-    float32 plus the float64 error of any score (+inf from sum|r_i| = 2^127
-    on); every other row, ties included, is scored again by the float64
-    kernel, so the outputs are again those of float64 scoring alone.  Row b
-    of the result depends on row b of the input alone, so a block decodes
+    float64 argmin over the sorted codebook.  OSD is described in _osd_batch.
+    Both score in float32 first and prove the float32 winners with one rule,
+    bound being _rounding_bound's bound on the float32 plus the float64 error
+    of any score: a row takes the float32 winner when every other candidate,
+    codeword or flip pattern of weight 0..order, scores more than 2·bound
+    above it, and is scored again in float64 otherwise, exact ties included.
+    MLD first takes a row's hard decision (r < 0) when that is a codeword and
+    every |r_i| exceeds 2·bound: every other codeword scores at least
+    min|r_i| more in exact arithmetic, and each float64 score errs by less
+    than bound.  So the outputs are those of float64 scoring alone.  Row b of
+    the result depends on row b of the input alone, so a block decodes
     exactly as its rows one at a time.
     """
     received = np.asarray(received, dtype=np.float64)

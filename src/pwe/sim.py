@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import gf2_matmul
+from .bitops import bpsk, gf2_matmul
 from .codes import CodeSpec
 # osd_decode is not called here; bench/spans.py traces it at this site.
 from .decoders import DecoderKind, decode_batch, osd_decode  # noqa: F401
@@ -83,7 +83,7 @@ def simulate_point(
         batch = min(_BATCH, config.max_blocks - blocks)
         info = rng.integers(0, 2, size=(batch, k), dtype=np.uint8)
         tx = gf2_matmul(info, G)
-        recv = (1.0 - 2.0 * tx) + sigma * rng.normal(size=(batch, n))
+        recv = bpsk(tx) + sigma * rng.normal(size=(batch, n))
         decoded = decode_batch(decoder, code, recv)
         diffs = (decoded[:, info_cols] ^ tx[:, info_cols]).sum()
         bit_errors += int(diffs)

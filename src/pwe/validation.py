@@ -408,14 +408,10 @@ CRITERIA: dict[int, Callable[[], CriterionResult]] = {
 }
 
 
-def run_validation(only: Optional[object] = None) -> list[CriterionResult]:
-    """Run the selected criteria (all by default); print one line per result."""
-    if only is None:
-        ids = sorted(CRITERIA)
-    elif isinstance(only, str):
-        ids = [int(x) for x in only.split(",") if x.strip()]
-    else:
-        ids = [int(x) for x in only]
+def run_validation(only: Optional[str] = None) -> list[CriterionResult]:
+    """Run the criteria whose ids the comma-separated string only lists (all
+    by default); print one line per result."""
+    ids = sorted(CRITERIA) if only is None else [int(x) for x in only.split(",") if x.strip()]
     unknown = [i for i in ids if i not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criterion ids: {unknown}")

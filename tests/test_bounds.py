@@ -9,7 +9,6 @@ from pwe.bounds import (
     RateContext,
     bound_curve,
     q_function,
-    truncated_bound,
     union_bound_bit,
     union_bound_word,
 )
@@ -75,10 +74,13 @@ def make_pwe():
 
 def test_truncated_bound_brackets_the_estimate():
     pwe = make_pwe()
-    for db in (2.0, 4.0):
-        value, lo, hi = truncated_bound(pwe, CTX, db, with_interval=True)
+    curve = bound_curve(pwe, CTX, [2.0, 4.0], kind="truncated_bound")
+    estimates = {e.w: e.count_estimate for e in pwe.entries}
+    for (db, value), (lo, hi) in zip(curve.points, curve.intervals):
         assert lo <= value <= hi
-        assert truncated_bound(pwe, CTX, db) == value
+        assert union_bound_bit(estimates, CTX, db) == value
+    with pytest.raises(ValueError):
+        bound_curve(PartialWeightEnumerator("golay-24-12", ()), CTX, [2.0], kind="truncated_bound")
 
 
 def test_bound_curve_kinds_and_grid_validation():

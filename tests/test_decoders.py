@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -510,14 +511,16 @@ def test_mld_equals_float64_argmin(name):
 
 
 def rows_to_float64(monkeypatch):
-    """Route _mld_exact through a recorder; returns the list of rows it decodes."""
-    seen, exact = [], decoders._mld_exact
+    """Route _mld_scores through a recorder; returns the list of rows it
+    scores in float64."""
+    seen, scores = [], decoders._mld_scores
 
-    def recorded(image, rows):
-        seen.extend(map(tuple, rows))
-        return exact(image, rows)
+    def recorded(received, image):
+        if image.dtype == np.float64:
+            seen.extend(map(tuple, received))
+        return scores(received, image)
 
-    monkeypatch.setattr(decoders, "_mld_exact", recorded)
+    monkeypatch.setattr(decoders, "_mld_scores", recorded)
     return seen
 
 
@@ -546,14 +549,14 @@ def test_mld_ties_go_to_float64(monkeypatch, name):
 
 def test_mld_hard_decision_codewords_skip_float32(monkeypatch):
     # A NaN float32 image sends every row that reaches the float32 product on
-    # to _mld_exact; rows whose hard decision is a codeword, with no tiny
-    # entry, never get there, and the outputs stay exact.
+    # to the float64 fallback; rows whose hard decision is a codeword, with no
+    # tiny entry, never get there, and the outputs stay exact.
     code = get_code("golay-24-12")
     block = sim_like(code, np.random.default_rng(47), 5.0, 512)
     book = lexicographic_codebook(code)
     want = book[np.argmin(block @ book.T.astype(np.float64), axis=1)]
-    bits, image, image32 = decoders._codebook(code)
-    monkeypatch.setattr(decoders, "_codebook", lambda code: (bits, image, np.full_like(image32, np.nan)))
+    bits, image32 = decoders._codebook(code)
+    monkeypatch.setattr(decoders, "_codebook", lambda code: (bits, np.full_like(image32, np.nan)))
     seen = rows_to_float64(monkeypatch)
     assert (decode_batch(DecoderKind("mld"), code, block) == want).all()
     hard = (block < 0).astype(np.uint8)
@@ -561,6 +564,32 @@ def test_mld_hard_decision_codewords_skip_float32(monkeypatch):
     assert member.sum() > 100 and not member.all()
     assert {tuple(r) for r in block[~member]} <= set(seen)
     assert not {tuple(r) for r in block[member & (np.abs(block).min(axis=1) > 1e-3)]} & set(seen)
+
+
+def test_mld_hard_decision_threshold_is_twice_the_bound(monkeypatch):
+    # Codeword hard decisions whose least |r_i| lies above 2·bound, but not
+    # above 4·((n + 2)·2^-24·sum|r_i| + n·2^-126), take the hard decision,
+    # which is the float64 argmin, without being scored.
+    code = get_code("golay-24-12")
+    n, rng = code.n, np.random.default_rng(55)
+    book = lexicographic_codebook(code)
+    tx = bpsk(book[rng.integers(len(book), size=64)])
+    block = tx * (0.5 + rng.random(tx.shape))
+    each, pos = np.arange(len(block)), rng.integers(n, size=len(block))
+    block[each, pos] = 3 * (n + 2) * 2.0 ** -24 * np.abs(block).sum(axis=1) * tx[each, pos]
+    total, least = np.abs(block).sum(axis=1), np.abs(block).min(axis=1)
+    assert (2 * decoders._rounding_bound(block) < least).all()
+    assert (least <= 4 * ((n + 2) * 2.0 ** -24 * total + n * 2.0 ** -126)).all()
+    scored, scores = [], decoders._mld_scores
+
+    def recorded(received, image):
+        scored.extend(map(tuple, received))
+        return scores(received, image)
+
+    monkeypatch.setattr(decoders, "_mld_scores", recorded)
+    got = decode_batch(DecoderKind("mld"), code, block)
+    assert (got == book[np.argmin(block @ book.T.astype(np.float64), axis=1)]).all()
+    assert (got == (block < 0)).all() and scored == []
 
 
 def test_mld_scores_a_fixed_number_of_rows_at_a_time():
@@ -580,6 +609,82 @@ def test_mld_scores_a_fixed_number_of_rows_at_a_time():
         tracemalloc.stop()
     assert (got == want).all()
     assert decoders._MLD_ROWS * len(book) * 4 <= 1 << 20 and peak < 4 << 20
+
+
+def test_mld_float64_fallback_scores_a_fixed_number_of_rows_at_a_time():
+    # Dyadic rows tie often, and every tied row falls back to float64.  The
+    # fallback also scores _MLD_ROWS rows at a time (2 MB on golay-24-12),
+    # next to the codebook's float64 image (0.8 MB), not every tied row at
+    # once (27 MB here).
+    code = get_code("golay-24-12")
+    block = np.random.default_rng(54).integers(-2, 3, size=(2048, code.n)) / 2.0
+    book = lexicographic_codebook(code)
+    scores = block @ book.T.astype(np.float64)  # exact: the entries are dyadic
+    want = book[np.argmin(scores, axis=1)]
+    tied = ((scores == scores.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum()
+    del scores
+    decode_batch(DecoderKind("mld"), code, block[:1])  # the codebook, cached
+    tracemalloc.start()
+    try:
+        got = decode_batch(DecoderKind("mld"), code, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got == want).all()
+    assert tied > 800 and peak < 6 << 20
+
+
+def scaled_ints(values, scale=2 ** 1100):
+    """Each float of values times scale, exactly, as Python ints: every
+    float64 and its half is a whole multiple of 2^-1075."""
+    return np.array([int(Fraction(float(v)) * scale) for v in np.ravel(values)],
+                    dtype=object).reshape(np.shape(values))
+
+
+def assert_within_bound(bound, exact, *computed):
+    """Every computed score errs from the exact one (both scaled_ints) by
+    less than bound in total."""
+    error = sum(abs(scaled_ints(scores) - exact) for scores in computed)
+    assert (error < scaled_ints(bound)).all()
+
+
+def soundness_rows(code, rng):
+    """Gaussian rows, rows near 2^100, and rows of entries from 2^-160 to
+    2^-135, float32 subnormals and below, where the bound's 2^-126 term
+    dominates."""
+    yield from rng.normal(size=(3, code.n))
+    yield from rng.normal(size=(2, code.n)) * 2.0 ** 100
+    yield from rng.normal(size=(2, code.n)) * 2.0 ** rng.integers(-160, -135, size=(2, code.n))
+
+
+def test_rounding_bound_is_sound():
+    # The float32 plus the float64 error of every MLD codeword score and of
+    # every OSD flip-pattern score up to order 2, against exact sums.
+    rng = np.random.default_rng(56)
+    golay = get_code("golay-24-12")
+    book = lexicographic_codebook(golay)
+    for r in soundness_rows(golay, rng):
+        bound = decoders._rounding_bound(r[np.newaxis])[0]
+        assert_within_bound(bound, book.astype(object) @ scaled_ints(r),
+                            r.astype(np.float32) @ book.T.astype(np.float32), r @ book.T.astype(np.float64))
+    bch = get_code("bch-127-50")
+    patterns = [_pattern_indices(bch.k, t) for t in range(3)]
+    for r in soundness_rows(bch, rng):
+        bound = decoders._rounding_bound(r[np.newaxis])[0]
+        # The terms of _reprocess: flip gains |r_j| on the MRB, and r/2
+        # times the sign of the base codeword on the redundancy positions.
+        rank_order, R, mrb = reference_mrb(bch, r)
+        red = np.setdiff1d(np.arange(bch.n), mrb)
+        r_perm = r[rank_order]
+        base = ((r_perm[mrb] < 0).astype(np.uint8) @ R) & 1
+        half, gains = np.where(base[red] == 1, 1, -1), np.abs(r_perm[mrb])
+        sigma = np.concatenate([(1 - 2 * R[:, red].astype(np.int64))[p].prod(axis=1) for p in patterns])
+        exact = sigma.astype(object) @ (scaled_ints(r_perm[red]) * half // 2)
+        exact += np.concatenate([scaled_ints(gains)[p].sum(axis=1) for p in patterns])
+        computed = [sigma.astype(dtype) @ (r_perm[red].astype(dtype) * (half / 2).astype(dtype))
+                    + np.concatenate([gains.astype(dtype)[p].sum(axis=1) for p in patterns])
+                    for dtype in (np.float32, np.float64)]
+        assert_within_bound(bound, exact, *computed)
 
 
 @pytest.mark.parametrize("k,t", [(2, 2), (4, 2), (5, 2), (6, 3), (7, 4), (5, 5)])
