@@ -49,25 +49,29 @@ def parse_decoder(text: str) -> DecoderKind:
     raise ValueError(f"unknown decoder string {text!r} (expected 'mld' or 'osd:L')")
 
 
-# Largest k whose whole codebook MLD may hold: the bits and their float32
-# image, 5·2^k·n bytes.  _mld_scores scores _MLD_ROWS rows at a time, in one
-# block per call (16 MB in float32 at k = 16), however many rows a batch
-# scores; a batch with float64 fallback rows builds the float64 image too.
+# Largest k whose whole codebook MLD may hold: the bits and the float32 +-1
+# image of half of them, 3·2^k·n bytes, or of all, 5·2^k·n bytes, for a code
+# without the all-ones word.  The float32 screen scores _MLD_ROWS rows at a
+# time against that image, in one block per call (8 MB at k = 16), however
+# many rows a batch scores; a batch with float64 fallback rows builds the
+# float64 image of the bits and scores them in blocks of _MLD_ROWS too.
 MLD_MAX_K, _MLD_ROWS = 16, 64
 
 
 @functools.lru_cache(maxsize=8)
 def _codebook(code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     """All codewords as a 2^k x n bit array in lexicographic (b_0, b_1, ...)
-    order, and its float32 image."""
+    order, and the float32 +-1 image sigma = 1 - 2c of its first half (b_0 =
+    0) when the last codeword is all-ones, so that row 2^k - 1 - i is row i
+    complemented, else of every row."""
     if code.k > MLD_MAX_K:
         raise ValueError(f"MLD needs k <= {MLD_MAX_K}, got k = {code.k}")
     bits = np.concatenate([np.unpackbits(chunk.view(np.uint8), axis=1, count=code.n,
                                          bitorder="little") for chunk in _codeword_chunks(code)])
     bits = bits[np.lexsort(bits.T[::-1])]
-    image32 = bits.astype(np.float32)
-    bits.flags.writeable = image32.flags.writeable = False
-    return bits, image32
+    sigma = 1 - 2 * bits[:len(bits) // 2 if bits[-1].all() else len(bits)].astype(np.float32)
+    bits.flags.writeable = sigma.flags.writeable = False
+    return bits, sigma
 
 
 def _rounding_bound(received: np.ndarray) -> np.ndarray:
@@ -95,6 +99,14 @@ def _rounding_bound(received: np.ndarray) -> np.ndarray:
     scores, and rounding is monotone, so a gap above 2·bound is an exact one.
     bound is +inf, and every row falls back, from sum|r_i| = 2^127 on, where
     float32 sums could overflow, and where n(n + 1) >= 2^24.
+
+    MLD's float32 screen scores the +-1 correlations rho(c) = sum r_i·(1 -
+    2c_i) = sum r_i - 2·S(c) instead, sums of n terms +-r_i, and its gap is
+    (rho32(x) - rho32(y))/2, halving being exact.  If that exceeds 2·bound,
+    then S(y) - S(x) = (rho(x) - rho(y))/2 > 2·bound - e32, so S64(x) <= S(x)
+    + e64 < S(y) - 2·bound + e32 + e64 <= S(y) - e64 <= S64(y) as before, the
+    float64 scores S64 being those of the 0/1 codewords.  Negating rho, for
+    the complement of a codeword, is exact.
     """
     n = received.shape[1]
     total = np.abs(received).sum(axis=1)
@@ -114,31 +126,62 @@ def _screened(score, rows: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 
 def _mld_scores(received: np.ndarray, image: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's first argmin of (dist² - const)/4 over the codebook image,
-    scored in the image's dtype _MLD_ROWS rows at a time, and the float64 gap
-    from it to the runner-up."""
+    """Each row's first argmin of (dist² - const)/4 over the float64 0/1
+    codebook image, scored _MLD_ROWS rows at a time, and the gap from it to
+    the runner-up."""
     best, gap = np.empty(len(received), np.intp), np.empty(len(received))
     block = np.empty((min(len(received), _MLD_ROWS), len(image)), image.dtype)
     for at in range(0, len(received), _MLD_ROWS):
         part, rows = slice(at, at + _MLD_ROWS), received[at:at + _MLD_ROWS]
-        scores = np.matmul(rows.astype(image.dtype), image.T, out=block[:len(rows)])
+        scores = np.matmul(rows, image.T, out=block[:len(rows)])
         each, best[part] = np.arange(len(rows)), scores.argmin(axis=1)
-        low = scores[each, best[part]].astype(np.float64)
+        low = scores[each, best[part]]
         scores[each, best[part]] = np.inf
         gap[part] = scores.min(axis=1) - low
     return best, gap
 
 
+def _mld_screen(received: np.ndarray, sigma: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's float32 winner among the size codewords of _codebook, whose
+    +-1 image is sigma, and its float64 gap to the runner-up, scored
+    _MLD_ROWS rows at a time.
+
+    Since sum r_i·c_i = (sum r_i - rho)/2 with rho = r·sigma, the winner has
+    the largest rho and the gap is half the rho gap.  When sigma holds half
+    the codebook, codeword size - 1 - i, row i complemented, has rho -rho_i:
+    the winner is the largest |rho_i|, and the runner-up the largest of the
+    others and of the winner's complement, -|rho_i|."""
+    closed = len(sigma) < size
+    won, gap = np.empty(len(received), np.intp), np.empty(len(received))
+    block = np.empty((min(len(received), _MLD_ROWS), len(sigma)), np.float32)
+    for at in range(0, len(received), _MLD_ROWS):
+        part, rows = slice(at, at + _MLD_ROWS), received[at:at + _MLD_ROWS]
+        rho = np.matmul(rows.astype(np.float32), sigma.T, out=block[:len(rows)])
+        each, top = np.arange(len(rows)), rho.argmax(axis=1)
+        if closed:
+            low = rho.argmin(axis=1)
+            negated = -rho[each, low] > rho[each, top]
+            top[negated] = low[negated]
+            np.abs(rho, out=rho)
+        high = rho[each, top].astype(np.float64)
+        rho[each, top] = -high if closed else -np.inf
+        gap[part] = (high - rho.max(axis=1)) / 2
+        won[part] = np.where(negated, size - 1 - top, top) if closed else top
+    return won, gap
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflowing rows get bound +inf
 def _mld_batch(code: CodeSpec, received: np.ndarray) -> np.ndarray:
     """MLD of each row of a B x n block, certificates first (see decode_batch)."""
-    bits, image32 = _codebook(code)
+    bits, sigma = _codebook(code)
     bound = _rounding_bound(received)
     out = (received < 0).astype(np.uint8)
     rest = np.flatnonzero(~(codeword_rows(code, out) & (np.abs(received).min(axis=1) > 2 * bound)))
 
     def score(rows, dtype):
-        return _mld_scores(received[rows], image32 if dtype == np.float32 else bits.astype(dtype))
+        if dtype == np.float32:
+            return _mld_screen(received[rows], sigma, len(bits))
+        return _mld_scores(received[rows], bits.astype(dtype))
 
     out[rest] = bits[_screened(score, rest, bound)]
     return out
@@ -422,12 +465,15 @@ def decode_batch(kind: DecoderKind, code: CodeSpec, received) -> np.ndarray:
 
     MLD picks the codeword with the least correlation sum r_i·c_i, ties going
     to the lexicographically smallest bit sequence (b_0, b_1, ...): the first
-    float64 argmin over the sorted codebook.  OSD is described in _osd_batch.
-    Both score in float32 first and prove the float32 winners with one rule,
-    bound being _rounding_bound's bound on the float32 plus the float64 error
-    of any score: a row takes the float32 winner when every other candidate,
-    codeword or flip pattern of weight 0..order, scores more than 2·bound
-    above it, and is scored again in float64 otherwise, exact ties included.
+    float64 argmin over the sorted codebook.  Its float32 screen scores the
+    +-1 correlations of half the codebook when the code holds the all-ones
+    word, the other half by negation (_mld_screen).  OSD is described in
+    _osd_batch.  Both score in float32 first and prove the float32 winners
+    with one rule, bound being _rounding_bound's bound on the float32 plus
+    the float64 error of any score: a row takes the float32 winner when every
+    other candidate, codeword or flip pattern of weight 0..order, scores more
+    than 2·bound above it, and is scored again in float64 otherwise, exact
+    ties included.
     MLD first takes a row's hard decision (r < 0) when that is a codeword and
     every |r_i| exceeds 2·bound: every other codeword scores at least
     min|r_i| more in exact arithmetic, and each float64 score errs by less

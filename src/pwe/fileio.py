@@ -54,15 +54,16 @@ def write_weight_class(path, lst: WeightClassList):
         fh.write("".join(f"{v:0{digits}x}\n" for v in sorted(lst.values())))
 
 
-# Words are checked in blocks of this many, so the bit arrays stay small.
-_CHECK_BLOCK = 4096
+# Words are checked in blocks of this many, the harvest's block size, so the
+# bit arrays stay cache-sized.
+_CHECK_BLOCK = 512
 
 
 def _check_words(path, code: CodeSpec, w: int, values: list[int]):
     """Raise ValueError at the first value that is not a weight-w codeword."""
-    for value in values:
-        if not 0 <= value < 1 << code.n:
-            raise ValueError(f"{path}: word {value:x} does not fit in n = {code.n} bits")
+    if min(values) < 0 or max(values) >> code.n:
+        value = next(v for v in values if not 0 <= v < 1 << code.n)
+        raise ValueError(f"{path}: word {value:x} does not fit in n = {code.n} bits")
     bits = ints_to_bits(values, code.n)
     weights = bits.sum(axis=1)
     bad_weight = weights != w
@@ -72,6 +73,22 @@ def _check_words(path, code: CodeSpec, w: int, values: list[int]):
         problem = (f"has weight {weights[i]}, not {w}" if bad_weight[i]
                    else f"is not a codeword of {code.name}")
         raise ValueError(f"{path}: word {values[i]:x} {problem}")
+
+
+def _hex_words(path, fh) -> list[int]:
+    """The words of an open list file, past its header line, as ints; the
+    ValueError otherwise names the file and the first line that is not hex."""
+    try:
+        return [int(line, 16) for line in map(str.strip, fh) if line]
+    except ValueError:
+        fh.seek(0)
+        fh.readline()
+        for number, line in enumerate(map(str.strip, fh), 2):
+            try:
+                int(line or "0", 16)
+            except ValueError:
+                raise ValueError(f"{path}: line {number}: {line!r} is not a hex word") from None
+        raise
 
 
 def read_weight_class(path, code: CodeSpec) -> WeightClassList:
@@ -84,7 +101,7 @@ def read_weight_class(path, code: CodeSpec) -> WeightClassList:
         n, w, count = (_integer(path, key, fields[key]) for key in ("n", "w", "count"))
         if n != code.n:
             raise ValueError(f"{path}: length {n} does not match code n = {code.n}")
-        values = [int(line, 16) for line in map(str.strip, fh) if line]
+        values = _hex_words(path, fh)
     for start in range(0, len(values), _CHECK_BLOCK):
         _check_words(path, code, w, values[start:start + _CHECK_BLOCK])
     members = set(values)

@@ -421,11 +421,23 @@ def test_osd_nan_screen_sends_every_row_to_float64(monkeypatch, poison):
     assert sorted(seen) == list(range(len(received)))
 
 
-@pytest.mark.parametrize("name,count", [("hamming-7-4", 300), ("golay-24-12", 150), ("qr-23-12", 150)])
+# A code without the all-ones word: MLD's float32 screen scores its whole
+# codebook image, not half of it, so the MLD tie and float64-argmin tests
+# run on it as well as on the catalog's MLD codes, which hold that word.
+SHORT_BCH = "bch-127-71-shortened-60"
+
+
+def mld_code(name):
+    """A catalog code, or SHORT_BCH: BCH(127,71) shortened by 60, n = 67, k = 11."""
+    return shorten(get_code("bch-127-71"), 60) if name == SHORT_BCH else get_code(name)
+
+
+@pytest.mark.parametrize("name,count", [("hamming-7-4", 300), ("golay-24-12", 150), ("qr-23-12", 150),
+                                        (SHORT_BCH, 150)])
 def test_mld_breaks_ties_lexicographically(name, count):
     # Entries in {-1, -1/2, 0, 1/2, 1}: every correlation is exact, and
     # many inputs have several minimal codewords.
-    code = get_code(name)
+    code = mld_code(name)
     words = all_codewords(code)
     bits = ints_to_bits(words, code.n)
     rng = np.random.default_rng([39, code.n])
@@ -499,9 +511,9 @@ def test_mld_outputs_are_frozen():
     assert mld_corpus_digest() == MLD_CORPUS_SHA256
 
 
-@pytest.mark.parametrize("name", MLD_CODES)
+@pytest.mark.parametrize("name", [*MLD_CODES, SHORT_BCH])
 def test_mld_equals_float64_argmin(name):
-    code = get_code(name)
+    code = mld_code(name)
     book = lexicographic_codebook(code)
     image = book.astype(np.float64)
     for label, block in mld_blocks(code):
@@ -510,41 +522,78 @@ def test_mld_equals_float64_argmin(name):
         assert (decode_batch(DecoderKind("mld"), code, block) == want).all(), label
 
 
-def rows_to_float64(monkeypatch):
-    """Route _mld_scores through a recorder; returns the list of rows it
-    scores in float64."""
-    seen, scores = [], decoders._mld_scores
+def mld_scored_rows(monkeypatch):
+    """Route the float32 screen and the float64 scoring through recorders;
+    returns the lists of rows each of them scores."""
+    screened, exact = [], []
+    screen, scores = decoders._mld_screen, decoders._mld_scores
 
-    def recorded(received, image):
-        if image.dtype == np.float64:
-            seen.extend(map(tuple, received))
+    def recorded_screen(received, sigma, size):
+        screened.extend(map(tuple, received))
+        return screen(received, sigma, size)
+
+    def recorded_scores(received, image):
+        exact.extend(map(tuple, received))
         return scores(received, image)
 
-    monkeypatch.setattr(decoders, "_mld_scores", recorded)
-    return seen
+    monkeypatch.setattr(decoders, "_mld_screen", recorded_screen)
+    monkeypatch.setattr(decoders, "_mld_scores", recorded_scores)
+    return screened, exact
 
 
 def test_mld_gaussian_blocks_need_no_float64(monkeypatch):
-    seen = rows_to_float64(monkeypatch)
+    screened, exact = mld_scored_rows(monkeypatch)
     code = get_code("golay-24-12")
     rng = np.random.default_rng(45)
     for snr in (3.0, 4.0, 5.0):
         for _ in range(8):
             decode_batch(DecoderKind("mld"), code, sim_like(code, rng, snr, 512))
-    assert seen == []
+    assert len(screened) > 1000 and exact == []
 
 
-@pytest.mark.parametrize("name", MLD_CODES)
+@pytest.mark.parametrize("name", [*MLD_CODES, SHORT_BCH])
 def test_mld_ties_go_to_float64(monkeypatch, name):
     # Every exactly tied row: its float32 gap is 0, never above the bound.
-    seen = rows_to_float64(monkeypatch)
-    code = get_code(name)
+    screened, exact = mld_scored_rows(monkeypatch)
+    code = mld_code(name)
     book = lexicographic_codebook(code)
     received = np.random.default_rng([46, code.n]).integers(-2, 3, size=(300, code.n)) / 2.0
     decode_batch(DecoderKind("mld"), code, received)
     scores = received @ book.T
-    tied = received[(scores == scores.min(axis=1, keepdims=True)).sum(axis=1) > 1]
-    assert len(tied) > 30 and set(map(tuple, tied)) <= set(seen)
+    tied = set(map(tuple, received[(scores == scores.min(axis=1, keepdims=True)).sum(axis=1) > 1]))
+    assert len(tied) > 30 and tied <= set(screened) and tied <= set(exact)
+
+
+@pytest.mark.parametrize("name,closed", [("golay-24-12", True), ("hamming-7-4", True), (SHORT_BCH, False)])
+def test_mld_image_is_half_the_codebook_when_closed_under_complement(name, closed):
+    # With the all-ones word, the last half of the sorted codebook is the
+    # first half complemented in reverse order, and the float32 image holds
+    # the first half alone: 2^(k-1) rows, else 2^k.
+    code = mld_code(name)
+    bits, sigma = decoders._codebook(code)
+    assert contains(code, (1 << code.n) - 1) == closed
+    assert (bits == lexicographic_codebook(code)).all()
+    assert sigma.dtype == np.float32 and sigma.shape == (1 << (code.k - closed), code.n)
+    assert (sigma == 1 - 2 * bits[:len(sigma)].astype(np.float64)).all()
+    assert (bits[::-1] == 1 - bits).all() == closed
+
+
+@pytest.mark.parametrize("name", ["golay-24-12", SHORT_BCH])
+def test_mld_screen_on_half_image_equals_full_image(name):
+    # Dyadic entries keep every float32 correlation exact, so the screen on
+    # half the image and on all of it gives the same gaps, and where a gap
+    # is positive, the same winner: the float64 argmin.
+    code = mld_code(name)
+    bits, sigma = decoders._codebook(code)
+    full = 1 - 2 * bits.astype(np.float32)
+    received = np.random.default_rng([57, code.n]).integers(-2, 3, size=(300, code.n)) / 2.0
+    won, gap = decoders._mld_screen(received, sigma, len(bits))
+    won_full, gap_full = decoders._mld_screen(received, full, len(bits))
+    assert (gap == gap_full).all() and (gap >= 0).all()
+    clear = gap > 0
+    assert 30 < clear.sum() < len(received)
+    assert (won[clear] == won_full[clear]).all()
+    assert (won[clear] == np.argmin(received @ bits.T.astype(np.float64), axis=1)[clear]).all()
 
 
 def test_mld_hard_decision_codewords_skip_float32(monkeypatch):
@@ -555,15 +604,15 @@ def test_mld_hard_decision_codewords_skip_float32(monkeypatch):
     block = sim_like(code, np.random.default_rng(47), 5.0, 512)
     book = lexicographic_codebook(code)
     want = book[np.argmin(block @ book.T.astype(np.float64), axis=1)]
-    bits, image32 = decoders._codebook(code)
-    monkeypatch.setattr(decoders, "_codebook", lambda code: (bits, np.full_like(image32, np.nan)))
-    seen = rows_to_float64(monkeypatch)
+    bits, sigma = decoders._codebook(code)
+    monkeypatch.setattr(decoders, "_codebook", lambda code: (bits, np.full_like(sigma, np.nan)))
+    screened, exact = mld_scored_rows(monkeypatch)
     assert (decode_batch(DecoderKind("mld"), code, block) == want).all()
     hard = (block < 0).astype(np.uint8)
     member = np.array([contains(code, v) for v in bits_to_ints(hard)])
     assert member.sum() > 100 and not member.all()
-    assert {tuple(r) for r in block[~member]} <= set(seen)
-    assert not {tuple(r) for r in block[member & (np.abs(block).min(axis=1) > 1e-3)]} & set(seen)
+    assert {tuple(r) for r in block[~member]} <= set(screened) & set(exact)
+    assert not {tuple(r) for r in block[member & (np.abs(block).min(axis=1) > 1e-3)]} & set(screened)
 
 
 def test_mld_hard_decision_threshold_is_twice_the_bound(monkeypatch):
@@ -580,22 +629,17 @@ def test_mld_hard_decision_threshold_is_twice_the_bound(monkeypatch):
     total, least = np.abs(block).sum(axis=1), np.abs(block).min(axis=1)
     assert (2 * decoders._rounding_bound(block) < least).all()
     assert (least <= 4 * ((n + 2) * 2.0 ** -24 * total + n * 2.0 ** -126)).all()
-    scored, scores = [], decoders._mld_scores
-
-    def recorded(received, image):
-        scored.extend(map(tuple, received))
-        return scores(received, image)
-
-    monkeypatch.setattr(decoders, "_mld_scores", recorded)
+    screened, exact = mld_scored_rows(monkeypatch)
     got = decode_batch(DecoderKind("mld"), code, block)
     assert (got == book[np.argmin(block @ book.T.astype(np.float64), axis=1)]).all()
-    assert (got == (block < 0)).all() and scored == []
+    assert (got == (block < 0)).all() and screened == [] and exact == []
 
 
 def test_mld_scores_a_fixed_number_of_rows_at_a_time():
     # At 0 dB most rows reach the float32 screen; it scores them _MLD_ROWS
-    # at a time (1 MB on golay-24-12), not all 2,048 at once (32 MB), and
-    # the block's other working arrays take about 1.5 MB.
+    # at a time against half the codebook (0.5 MB on golay-24-12), not all
+    # 2,048 at once (16 MB), and the block's other working arrays take about
+    # 1.5 MB.
     code = get_code("golay-24-12")
     block = sim_like(code, np.random.default_rng(48), 0.0, 2048)
     book = lexicographic_codebook(code)
@@ -608,7 +652,7 @@ def test_mld_scores_a_fixed_number_of_rows_at_a_time():
     finally:
         tracemalloc.stop()
     assert (got == want).all()
-    assert decoders._MLD_ROWS * len(book) * 4 <= 1 << 20 and peak < 4 << 20
+    assert decoders._MLD_ROWS * len(decoders._codebook(code)[1]) * 4 <= 1 << 19 and peak < 4 << 20
 
 
 def test_mld_float64_fallback_scores_a_fixed_number_of_rows_at_a_time():
@@ -658,8 +702,9 @@ def soundness_rows(code, rng):
 
 
 def test_rounding_bound_is_sound():
-    # The float32 plus the float64 error of every MLD codeword score and of
-    # every OSD flip-pattern score up to order 2, against exact sums.
+    # The float32 plus the float64 error of every MLD codeword score, of
+    # every +-1 correlation of the MLD screen and its negation, and of every
+    # OSD flip-pattern score up to order 2, against exact sums.
     rng = np.random.default_rng(56)
     golay = get_code("golay-24-12")
     book = lexicographic_codebook(golay)
@@ -667,6 +712,7 @@ def test_rounding_bound_is_sound():
         bound = decoders._rounding_bound(r[np.newaxis])[0]
         assert_within_bound(bound, book.astype(object) @ scaled_ints(r),
                             r.astype(np.float32) @ book.T.astype(np.float32), r @ book.T.astype(np.float64))
+        assert_pm1_correlations_within_bound(bound, book, r)
     bch = get_code("bch-127-50")
     patterns = [_pattern_indices(bch.k, t) for t in range(3)]
     for r in soundness_rows(bch, rng):
@@ -685,6 +731,20 @@ def test_rounding_bound_is_sound():
                     + np.concatenate([gains.astype(dtype)[p].sum(axis=1) for p in patterns])
                     for dtype in (np.float32, np.float64)]
         assert_within_bound(bound, exact, *computed)
+    short = mld_code(SHORT_BCH)
+    for r in soundness_rows(short, rng):
+        assert_pm1_correlations_within_bound(decoders._rounding_bound(r[np.newaxis])[0],
+                                             lexicographic_codebook(short), r)
+
+
+def assert_pm1_correlations_within_bound(bound, book, r):
+    """The +-1 correlations r·(1 - 2c) of every codeword c of book, and their
+    negations, scored in float32 and in float64, err within bound."""
+    sigma = 1 - 2 * book.astype(np.int64)
+    exact = sigma.astype(object) @ scaled_ints(r)
+    computed = r.astype(np.float32) @ sigma.T.astype(np.float32), r @ sigma.T.astype(np.float64)
+    assert_within_bound(bound, exact, *computed)
+    assert_within_bound(bound, -exact, *(-rho for rho in computed))
 
 
 @pytest.mark.parametrize("k,t", [(2, 2), (4, 2), (5, 2), (6, 3), (7, 4), (5, 5)])

@@ -216,6 +216,25 @@ def test_weight_class_rejects_out_of_range_word(tmp_path):
         fileio.read_weight_class(path, code)
 
 
+def test_weight_class_names_the_first_out_of_range_word(tmp_path):
+    code, lst = golay_list()
+    words = [to_hex(code, v) for v in sorted(lst.values())]
+    path = tmp_path / "x.txt"
+    for bad, shown in [("-" + words[0], "-" + words[0].lstrip("0")), ("1" + words[0], "1" + words[0])]:
+        write_raw_list(path, code, 8, words[1:4] + [bad, "2" + words[0]] + words[4:])
+        with pytest.raises(ValueError, match=f"x.txt: word {shown} does not fit in n = 24 bits"):
+            fileio.read_weight_class(path, code)
+
+
+def test_weight_class_names_the_file_and_line_of_a_non_hex_word(tmp_path):
+    code, lst = golay_list()
+    words = [to_hex(code, v) for v in sorted(lst.values())]
+    path = tmp_path / "x.txt"
+    write_raw_list(path, code, 8, words[:5] + ["zz"] + words[5:] + ["yy"])
+    with pytest.raises(ValueError, match="x.txt: line 7: 'zz' is not a hex word"):
+        fileio.read_weight_class(path, code)
+
+
 def test_headers_name_the_file_and_the_missing_field(tmp_path):
     code, lst = golay_list()
     path = tmp_path / "x.txt"
