@@ -207,10 +207,21 @@ _BAND_SCORES = 4096
 # as for a hundred; it overtakes rref at about 6 rows on BCH(127,50) and
 # BCH(130,66) and at about 16 on Golay(24,12).
 BLOCK_ELIMINATION_MIN = 16
-# Float scratch per reprocessing chunk of rows, about one core's L2 cache.
-# On a 2-vCPU Xeon VM with 2 MB of L2 per core, 8 MB chunks made an
-# osd3-harvest repetition about 10% slower.
+# Float scratch per reprocessing chunk of rows, about one core's L2 cache;
+# a chunk may hold up to 1.5 times as much (see _chunk_step).  On a 2-vCPU
+# Xeon VM with 2 MB of L2 per core, 8 MB chunks made an osd3-harvest
+# repetition about 10% slower.
 _CHUNK_BYTES = 2 << 20
+
+
+def _chunk_step(k: int, n: int, order: int) -> int:
+    """The rows whose float32 reprocessing scratch fills _CHUNK_BYTES: per
+    row sigma, and the head products and as much again for a group at order
+    2 and up, or one row of scores at order 1.  A block of B rows is cut
+    into max(1, round(B / step)) near-equal chunks, up to 1.5·step rows
+    each, so that a block a little over step rows pays for one chunk."""
+    scratch = 2 * math.comb(k, order - 2) * (n - k) if order > 1 else n
+    return max(1, _CHUNK_BYTES // (4 * (scratch + k * (n - k))))
 
 
 def _eliminate_rows(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,6 +314,13 @@ def _best_patterns(sigma: np.ndarray, red_weight: np.ndarray, flip_gain: np.ndar
     rows, best = np.arange(B), red_weight.sum(axis=1)
     runner = np.full(B, np.inf, dtype=best.dtype)
     flips = np.zeros((B, k), dtype=np.uint8)
+    if order > 1:
+        # Three more columns fold the flip gains into each band's product:
+        # sigma rows [sigma_l, f_l, 1, 1] times factors [sigma_m, 1, 1, f_m]
+        # and head rows [red_weight·prod_{j in h} sigma_j, 1, head gain, 1].
+        ones, gain = np.ones((B, k, 1), sigma.dtype), flip_gain[:, :, np.newaxis]
+        sides = np.concatenate((sigma, gain, ones, ones), axis=2)
+        factors = np.concatenate((sigma, ones, ones, gain), axis=2)
     for t in range(1, order + 1):
         if t == 1:
             scores = (red_weight[:, np.newaxis, :] @ sigma.transpose(0, 2, 1))[:, 0] + flip_gain
@@ -312,42 +330,57 @@ def _best_patterns(sigma: np.ndarray, red_weight: np.ndarray, flip_gain: np.ndar
             second = scores.min(axis=1)
         else:
             every = _pattern_indices(k, t - 2)
-            # Row h is red_weight·prod_{j in head h} sigma_j.
-            products = red_weight[:, np.newaxis, :] * sigma[:, every].prod(axis=2)
-            head_gain = flip_gain[:, every].sum(axis=2)
+            products = np.empty((B, len(every), K + 3), dtype=sigma.dtype)
+            # Head h is red_weight·prod_{j in h} sigma_j; one of a single
+            # position is red_weight times its sigma row.
+            np.multiply(red_weight[:, np.newaxis, :], sigma if t == 3 else sigma[:, every].prod(axis=2),
+                        out=products[:, :, :K])
+            products[:, :, K::2] = 1
+            products[:, :, K + 1] = flip_gain[:, every].sum(axis=2)
             bands, table, band_heads = _bands(k, t, B)
             lows, seconds = np.empty((2, B, len(bands)), dtype=sigma.dtype)
             picks = np.empty((B, len(bands)), dtype=np.intp)
             for g, (m0, m1, heads, row_mask, col_mask) in enumerate(bands):
-                # sigma_m multiplies the smaller side: rows (h, m) or columns (m, l).
-                left, right = products[:, heads, np.newaxis, :], sigma[:, np.newaxis, m0 + 1:, :]
+                # The factors multiply the smaller side: rows (h, m) or
+                # columns (m, l).  Each entry is then a whole pattern score.
+                left, right = products[:, heads, np.newaxis, :], sides[:, np.newaxis, m0 + 1:, :]
                 if left.shape[1] <= right.shape[2]:
-                    left = left * sigma[:, np.newaxis, m0:m1, :]
+                    left = left * factors[:, np.newaxis, m0:m1, :]
                 else:
-                    right = right * sigma[:, m0:m1, np.newaxis, :]
-                scores = left.reshape(B, -1, K) @ right.reshape(B, -1, K).transpose(0, 2, 1)
-                scores = scores.reshape(B, -1, m1 - m0, k - 1 - m0)
-                scores += flip_gain[:, np.newaxis, np.newaxis, m0 + 1:]
-                gains = head_gain[:, heads, np.newaxis] + flip_gain[:, np.newaxis, m0:m1]
+                    right = right * factors[:, m0:m1, np.newaxis, :]
+                scores = left.reshape(B, -1, K + 3) @ right.reshape(B, -1, K + 3).transpose(0, 2, 1)
                 if row_mask is not None:
-                    gains += row_mask
+                    # Masked entries score +inf, so a pattern's duplicates
+                    # never come second to it.  The masks go on after the
+                    # product, where no +inf meets a 0 to make a NaN.
+                    scores = scores.reshape(B, -1, m1 - m0, k - 1 - m0)
+                    scores += row_mask[:, :, np.newaxis]
                     scores += col_mask
-                scores += gains[:, :, :, np.newaxis]
-                # Masked entries score +inf, so a pattern's duplicates never
-                # come second to it.
                 scores = scores.reshape(B, -1)
                 picks[:, g] = scores.argmin(axis=1)
                 lows[:, g] = scores[rows, picks[:, g]]
                 scores[rows, picks[:, g]] = np.inf
                 seconds[:, g] = scores.min(axis=1)
+
+            def patterns(pick, g):
+                # The patterns of band g's entries pick.
+                m0, m1, start = np.moveaxis(table[g], -1, 0)
+                row, l = np.divmod(pick, k - 1 - m0)
+                row, m = np.divmod(row, m1 - m0)
+                return np.concatenate((band_heads[start + row], (m0 + m)[..., np.newaxis],
+                                       (m0 + 1 + l)[..., np.newaxis]), axis=-1)
+
             # A row-major argmin is lexicographic within a band; across
-            # bands, the least score wins, then the lexicographically first.
-            m0, m1, start = table.T
-            row, l = np.divmod(picks, k - 1 - m0)
-            row, m = np.divmod(row, m1 - m0)
-            patterns = np.dstack((band_heads[start + row], m0 + m, m0 + 1 + l))
-            g = np.lexsort((*np.moveaxis(patterns, 2, 0)[::-1], lows), axis=1)[:, 0]
-            low, pattern = lows[rows, g], patterns[rows, g]
+            # bands, the least score wins, then the lexicographically first,
+            # sorted for only the rows whose least score ties or is NaN.
+            g = lows.argmin(axis=1)
+            low = lows[rows, g]
+            tied = np.flatnonzero((lows == low[:, np.newaxis]).sum(axis=1) != 1)
+            if len(tied):
+                keys = np.moveaxis(patterns(picks[tied], np.arange(len(bands))), 2, 0)[::-1]
+                g[tied] = np.lexsort((*keys, lows[tied]), axis=1)[:, 0]
+                low = lows[rows, g]
+            pattern = patterns(picks[rows, g], g)
             lows[rows, g] = seconds[rows, g]
             second = lows.min(axis=1)
         # The runner-up so far: the loser of best and low, or the second of
@@ -394,11 +427,13 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     up to a constant shared by all patterns.  Order 1 scores every l with one
     product.  Order t >= 2 groups its patterns by m, the second-largest
     position: a head h (a weight-(t-2) pattern below m), m, and l > m.  One
-    product scores group m, the rows (s/2)·prod_{j in h+{m}} sigma_j, heads in
-    lexicographic order, times the sigma rows l > m, so each pattern is scored
-    once (see _bands).  A row-major argmin is a group's lexicographically first
-    minimum; across groups the least score wins, then the lexicographically
-    first pattern.  A later order replaces the best only if strictly lower, so
+    product gives group m its whole scores, so each pattern is scored once
+    (see _bands): the rows [-(s/2)·prod_{j in h+{m}} sigma_j, 1, sum_{j in h}
+    |r_j|, |r_m|], heads in lexicographic order, times the rows [sigma_l,
+    |r_l|, 1, 1] of l > m.  A row-major argmin is a group's lexicographically
+    first minimum; across groups the least score wins, then the
+    lexicographically first pattern, which only rows whose least score ties
+    sort for.  A later order replaces the best only if strictly lower, so
     earlier patterns win ties; on inputs whose sums are exact, such as dyadic
     values, ties resolve exactly.
 
@@ -406,9 +441,11 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     again in float64 the rows whose float32 winner it cannot prove
     (_screened).  Pattern x's score is a sum of N = |x| + n - k <= n terms
     a_i, flip gains and +-r/2 on the redundancy positions, with sum|a_i| <=
-    sum|r_i|, so _rounding_bound covers it; multiplying by sigma = +-1 and
-    adding a mask of 0 are exact, and +inf masks only non-patterns and
-    duplicates.
+    sum|r_i|, so _rounding_bound covers it.  Its bound holds for any order of
+    summing: at order >= 2 the band product adds the terms in the BLAS's
+    order, the head's gain being a partial sum formed first.  Multiplying by
+    sigma = +-1 or by 1 and adding a mask of 0 are exact, and +inf masks
+    only non-patterns and duplicates.
     """
     (B, n), k = received.shape, code.k
     if order > k:
@@ -448,11 +485,7 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
         def score(rows, dtype):
             return _reprocess(parts, rows, order, dtype)
 
-        # Per row, in float32 (see Screen above): sigma, head products and as
-        # much for a group, or one row of scores.
-        scratch = 2 * math.comb(k, order - 2) * (n - k) if order > 1 else n
-        step = max(1, _CHUNK_BYTES // (4 * (scratch + k * (n - k))))
-        for chunk in np.split(rows, range(step, B, step)):
+        for chunk in np.array_split(rows, max(1, round(B / _chunk_step(k, n, order)))):
             info[chunk] ^= _screened(score, chunk, bound)
     out = np.empty((B, n), dtype=np.uint8)
     out[each, rank_order[each, mrb]] = info

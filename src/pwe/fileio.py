@@ -45,13 +45,22 @@ def _integer(path, field: str, text: str) -> int:
 
 # --- codeword lists --------------------------------------------------------
 
+# The two lowercase hex digits of each byte value.
+_HEX_PAIRS = np.frombuffer(bytes.hex(bytes(range(256))).encode(), dtype=np.uint8).reshape(256, 2)
+
+
 def write_weight_class(path, lst: WeightClassList):
-    path = Path(path)
+    """Write one list file, its words sorted, each as ceil(n/4) hex digits:
+    the last ceil(n/4) of the hex pairs of its big-endian bytes."""
     n = lst.code.n
     digits = max(1, (n + 3) // 4)
-    with path.open("w") as fh:
-        fh.write(f"# code={lst.code.name} n={n} w={lst.w} count={len(lst)}\n")
-        fh.write("".join(f"{v:0{digits}x}\n" for v in sorted(lst.values())))
+    size = (digits + 1) // 2
+    raw = np.frombuffer(b"".join(v.to_bytes(size, "big") for v in sorted(lst.values())), dtype=np.uint8)
+    lines = np.full((len(raw) // size, digits + 1), ord("\n"), dtype=np.uint8)
+    lines[:, :digits] = _HEX_PAIRS[raw].reshape(-1, 2 * size)[:, 2 * size - digits:]
+    with Path(path).open("wb") as fh:
+        fh.write(f"# code={lst.code.name} n={n} w={lst.w} count={len(lst)}\n".encode())
+        fh.write(lines.tobytes())
 
 
 # Words are checked in blocks of this many, the harvest's block size, so the

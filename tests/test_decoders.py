@@ -737,6 +737,50 @@ def test_rounding_bound_is_sound():
                                              lexicographic_codebook(short), r)
 
 
+def exact_correlations(words, r):
+    """The correlation words @ r of every 0/1 row of words, exactly, as
+    Python ints in units of the finest power of two among r's entries (the
+    scale, returned too): the integers are summed in 30-bit limbs of int64."""
+    scale = max(Fraction(float(v)).denominator for v in r)
+    ints = [int(Fraction(float(v)) * scale) for v in r]
+    limbs = max(abs(v) for v in ints).bit_length() // 30 + 1
+    words = words.astype(np.int64)
+    total = np.zeros(len(words), dtype=object)
+    for at in range(limbs):
+        limb = np.array([(abs(v) >> 30 * at & (1 << 30) - 1) * (1 if v >= 0 else -1) for v in ints])
+        total += (words @ limb).astype(object) * (1 << 30 * at)
+    return total, scale
+
+
+@pytest.mark.parametrize("name", ["bch-127-50", "bch-130-66"])
+def test_osd_kernel_gaps_are_sound(name):
+    # The order-3 kernel's own float32 and float64 scores, flip gains summed
+    # in the band product's order: its winner scores within 2·bound of the
+    # exact least correlation, and its gap lies within 2·bound of the exact
+    # gap from the least to the second least.
+    code = get_code(name)
+    rng = np.random.default_rng([57, code.n])
+    for r in soundness_rows(code, rng):
+        bound = Fraction(decoders._rounding_bound(r[np.newaxis])[0])
+        rank_order, R, mrb = reference_mrb(code, r)
+        red = np.setdiff1d(np.arange(code.n), mrb)
+        r_perm = r[rank_order]
+        base = ((r_perm[mrb] < 0).astype(np.uint8) @ R) & 1
+        patterns = [p for t in range(4) for p in combinations(range(code.k), t)]
+        flips = np.zeros((len(patterns), code.k), dtype=np.uint8)
+        for i, p in enumerate(patterns):
+            flips[i, list(p)] = 1
+        exact, scale = exact_correlations(base ^ (flips @ R & 1), r_perm)
+        least, at = min(exact), int(np.argmin(exact))
+        gap = Fraction(min(np.delete(exact, at)) - least, scale)
+        parts = (R[:, red].T[np.newaxis], r_perm[red][np.newaxis], base[red][np.newaxis], r_perm[mrb][np.newaxis])
+        for dtype in (np.float32, np.float64):
+            won, kernel_gap = decoders._reprocess(parts, np.arange(1), 3, dtype)
+            winner = patterns.index(tuple(np.flatnonzero(won[0])))
+            assert Fraction(exact[winner] - least, scale) <= 2 * bound, dtype
+            assert abs(Fraction(float(kernel_gap[0])) - gap) <= 2 * bound, dtype
+
+
 def assert_pm1_correlations_within_bound(bound, book, r):
     """The +-1 correlations r·(1 - 2c) of every codeword c of book, and their
     negations, scored in float32 and in float64, err within bound."""
@@ -860,6 +904,31 @@ def test_decode_batch_rows_equal_one_row_decodes(name, kinds):
         assert (decode_batch(kind, code, received[:small]) == one[:small]).all(), text
         for r, row in zip(received[:4], bits_to_ints(one)):
             assert decode(kind, code, r).value == row
+
+
+@pytest.mark.parametrize("name", ["bch-127-50", "bch-130-66"])
+def test_osd3_blocks_equal_one_row_decodes_across_chunk_boundaries(monkeypatch, name):
+    # A block is cut into max(1, round(B / step)) near-equal chunks: one up
+    # to 1.5·step rows, two just past it; every cut decodes as its rows one
+    # at a time.
+    code, kind = get_code(name), DecoderKind("osd", 3)
+    step = decoders._chunk_step(code.k, code.n, 3)
+    rng = np.random.default_rng([45, code.n])
+    received = np.array([*harvest_like(code, rng, 88), *tie_heavy(code, rng, 4)])
+    one = np.array([decode_batch(kind, code, r[np.newaxis])[0] for r in received])
+    chunks, reprocess = [], decoders._reprocess
+
+    def recorded(parts, rows, order, dtype):
+        if dtype == np.float32:
+            chunks.append(len(rows))
+        return reprocess(parts, rows, order, dtype)
+
+    monkeypatch.setattr(decoders, "_reprocess", recorded)
+    for size in (step - 1, step, step + 1, 3 * step // 2 + 1, 100):
+        del chunks[:]
+        assert (decode_batch(kind, code, received[:size]) == one[:size]).all(), size
+        assert len(chunks) == max(1, round(size / step)) and max(chunks) - min(chunks) <= 1, size
+    assert chunks == [50, 50]
 
 
 @pytest.mark.parametrize("name", ["bch-127-50", "bch-130-66", "golay-24-12"])

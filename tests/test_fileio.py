@@ -1,14 +1,16 @@
 """On-disk formats round-trip through their readers."""
 
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from pwe import fileio
 from pwe.bounds import BoundCurve
-from pwe.codes import codewords_of_weight, get_code
+from pwe.codes import codewords_of_weight, encode, get_code
 from pwe.estimator import PartialWeightEnumerator, interval_from_stats
-from pwe.gf2 import poly_exponents
+from pwe.gf2 import BitWord, poly_exponents
 from pwe.harvest import WeightClassList
 
 
@@ -28,6 +30,26 @@ def test_weight_class_roundtrip(tmp_path):
     assert header == f"# code=golay-24-12 n=24 w=8 count={len(lst)}"
     back = fileio.read_weight_class(path, code)
     assert back.w == 8 and back.values() == lst.values()
+
+
+@pytest.mark.parametrize("name", ["hamming-7-4", "golay-24-12", "bch-127-50", "bch-130-66", "empty"])
+def test_weight_class_files_are_the_hex_lines_of_their_words(tmp_path, name):
+    # Sorted words, each as ceil(n/4) zero-padded lowercase hex digits, an
+    # odd count of them at n = 130.
+    code = get_code("golay-24-12" if name == "empty" else name)
+    rng = np.random.default_rng([44, code.n])
+    words = [encode(code, BitWord(code.k, int(v))).value
+             for v in rng.integers(0, 1 << min(code.k, 62), size=60)]
+    w = 0 if name == "empty" else Counter(v.bit_count() for v in words).most_common(1)[0][0]
+    lst = WeightClassList(code, w, {v for v in words if v.bit_count() == w} if w else set())
+    path = tmp_path / "x.txt"
+    fileio.write_weight_class(path, lst)
+    digits = (code.n + 3) // 4
+    want = f"# code={code.name} n={code.n} w={w} count={len(lst)}\n"
+    want += "".join(f"{v:0{digits}x}\n" for v in sorted(lst.values()))
+    assert path.read_bytes() == want.encode()
+    assert len(lst) >= (0 if name == "empty" else 2)
+    assert fileio.read_weight_class(path, code).values() == lst.values()
 
 
 def test_weight_class_length_mismatch(tmp_path):
