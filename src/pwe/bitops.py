@@ -30,5 +30,6 @@ def gf2_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     as uint8.  Summed in float32 by the BLAS: exact while the inner
     dimension is below 2^24, and several times faster than a uint8 product,
     which numpy runs without BLAS."""
-    product = np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)
-    return (product.astype(np.int32) & 1).astype(np.uint8)
+    product = (np.asarray(a, dtype=np.float32) @ np.asarray(b, dtype=np.float32)).astype(np.int32)
+    product &= 1
+    return product.astype(np.uint8)

@@ -111,11 +111,19 @@ def contains(code: CodeSpec, word: int) -> bool:
     return bool(codeword_rows(code, ints_to_bits([word], code.n))[0])
 
 
+def syndrome_rows(code: CodeSpec, bits: np.ndarray) -> np.ndarray:
+    """Each row of an m x n bit array XOR the re-encoding of its information
+    bits: zero on the information positions, and on the others a syndrome,
+    zero exactly when the row is a codeword and shared by two rows exactly
+    when they differ by a codeword."""
+    form = code.systematic
+    return gf2_matmul(bits[:, form.info_positions], form.generator_bits) ^ bits
+
+
 def codeword_rows(code: CodeSpec, bits: np.ndarray) -> np.ndarray:
     """Membership of each row of an m x n bit array, as m booleans: a row
     is a codeword when it equals the re-encoding of its information bits."""
-    form = code.systematic
-    return np.all(gf2_matmul(bits[:, form.info_positions], form.generator_bits) == bits, axis=1)
+    return ~syndrome_rows(code, bits).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,22 +240,24 @@ def qr_generator_polynomial(p: int) -> int:
 _TABLE_ROWS = 17
 
 
-def _codeword_chunks(code: CodeSpec) -> Iterator[np.ndarray]:
-    """All 2^k codewords, in chunks of at most 2^17 rows of ceil(n/64)
-    little-endian 64-bit words.  Each chunk is overwritten by the next, so a
-    consumer reads it before drawing another.
+def _codeword_chunks(code: CodeSpec, generators: Optional[list[int]] = None) -> Iterator[np.ndarray]:
+    """All 2^k codewords, or every word the rows generators span, in chunks
+    of at most 2^17 rows of ceil(n/64) little-endian 64-bit words.  Each
+    chunk is overwritten by the next, so a consumer reads it before drawing
+    another.
 
-    Codeword i is the XOR of the generator rows at the set bits of i's
-    reflected Gray code i ^ (i >> 1), so consecutive codewords differ by one
-    row.  The table over the first 17 rows holds one chunk in that order;
-    chunk c is the table, reversed when c is odd, XOR the rows 17 on at the
-    set bits of c's Gray code.
+    Word i is the XOR of the rows at the set bits of i's reflected Gray code
+    i ^ (i >> 1), so consecutive words differ by one row.  The table over
+    the first 17 rows holds one chunk in that order; chunk c is the table,
+    reversed when c is odd, XOR the rows 17 on at the set bits of c's Gray
+    code.
     """
     if code.k > EXHAUSTIVE_MAX_K:
         raise ValueError(f"enumeration needs k <= {EXHAUSTIVE_MAX_K}, got k = {code.k}")
     nwords = -(-code.n // 64)
-    raw = b"".join(r.to_bytes(8 * nwords, "little") for r in code.generator_matrix.rows)
-    rows = np.frombuffer(raw, dtype="<u8").reshape(code.k, nwords)
+    raw = b"".join(r.to_bytes(8 * nwords, "little")
+                   for r in (code.generator_matrix.rows if generators is None else generators))
+    rows = np.frombuffer(raw, dtype="<u8").reshape(-1, nwords)
     table = np.zeros((1, nwords), dtype="<u8")
     for row in rows[:_TABLE_ROWS]:
         table = np.concatenate([table, table[::-1] ^ row])
@@ -257,7 +267,7 @@ def _codeword_chunks(code: CodeSpec) -> Iterator[np.ndarray]:
     # mapped from the OS and released again each time, 31,000 page faults in
     # a qr-47-24 enumeration against 800 with the buffer.
     chunk = np.empty_like(table)
-    for c in range(1 << max(code.k - _TABLE_ROWS, 0)):
+    for c in range(1 << max(len(rows) - _TABLE_ROWS, 0)):
         if c:
             acc ^= rows[_TABLE_ROWS + (c & -c).bit_length() - 1]
         yield np.bitwise_xor(tables[c & 1], acc, out=chunk)
@@ -273,9 +283,18 @@ def _weights(code: CodeSpec, chunk: np.ndarray) -> np.ndarray:
 def exact_weight_distribution(
     code: CodeSpec, max_weight: Optional[int] = None
 ) -> WeightDistribution:
-    """Complete (or weight-truncated) A_w by enumerating all 2^k codewords."""
+    """Complete (or weight-truncated) A_w by enumerating all 2^k codewords,
+    or half of them when the code holds the all-ones word 1.  The code is
+    then S and S + 1, S spanned by the systematic rows but the last (1 has
+    every information bit set, so it needs the last row and lies outside S),
+    and s + 1 has weight n - wt(s): A_w = H_w + H_(n-w), H counting S."""
+    # An oversized code is refused by _codeword_chunks, before any work.
+    half = code.k <= EXHAUSTIVE_MAX_K and contains(code, (1 << code.n) - 1)
+    rows = bits_to_ints(code.systematic.generator_bits[:-1]) if half else None
     counts = sum(np.bincount(_weights(code, chunk), minlength=code.n + 1)
-                 for chunk in _codeword_chunks(code))
+                 for chunk in _codeword_chunks(code, rows))
+    if half:
+        counts = counts + counts[::-1]
     top = code.n if max_weight is None else min(max_weight, code.n)
     return WeightDistribution.from_dict({w: int(counts[w]) for w in range(top + 1)})
 

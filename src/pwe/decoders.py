@@ -12,12 +12,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .bitops import bits_to_ints, ints_to_bits
-from .codes import CodeSpec, _codeword_chunks, codeword_rows
+from .codes import CodeSpec, _codeword_chunks, syndrome_rows
 from .gf2 import BitWord, rref
 
 __all__ = ["DecoderKind", "parse_decoder", "decode_batch", "mld_decode", "osd_decode", "decode"]
@@ -54,7 +53,8 @@ def parse_decoder(text: str) -> DecoderKind:
 # without the all-ones word.  The float32 screen scores _MLD_ROWS rows at a
 # time against that image, in one block per call (8 MB at k = 16), however
 # many rows a batch scores; a batch with float64 fallback rows builds the
-# float64 image of the bits and scores them in blocks of _MLD_ROWS too.
+# float64 image of the bits and scores them in blocks of _MLD_ROWS too.  The
+# certificate's table (_leaders) holds at most 2^k error patterns.
 MLD_MAX_K, _MLD_ROWS = 16, 64
 
 
@@ -107,6 +107,19 @@ def _rounding_bound(received: np.ndarray) -> np.ndarray:
     + e64 < S(y) - 2·bound + e32 + e64 <= S(y) - e64 <= S64(y) as before, the
     float64 scores S64 being those of the 0/1 codewords.  Negating rho, for
     the complement of a codeword, is exact.
+
+    MLD's certificate (_mld_batch) proves a candidate codeword c* unscored.
+    Let y be the hard decision (r_i < 0) and D the positions where c*
+    differs from y.  Then S(c) - S(y) = sum |r_i| over the positions where c
+    differs from y, for every word c.  Another codeword differs from c* in
+    at least d places, so from y in at least d - |D| places outside D, and
+    S(c) - S(c*) >= LB - cost: LB is the sum of the d - |D| least |r_i|
+    outside D, and cost = sum_D |r_i|.  Their float64 sums and difference,
+    over disjoint positions, err by at most (n + 1)·2^-53·sum|r_i|, far
+    below bound (a float64 sum below the normal range is exact).  So if the
+    computed LB - cost exceeds 3·bound, the exact gap exceeds 2·bound, and
+    S64(c*) <= S(c*) + e64 < S(c) - 2·bound + e64 <= S64(c): float64 ranks
+    c* strictly first, as the screen would.  A bound of +inf proves nothing.
     """
     n = received.shape[1]
     total = np.abs(received).sum(axis=1)
@@ -170,13 +183,97 @@ def _mld_screen(received: np.ndarray, sigma: np.ndarray, size: int) -> tuple[np.
     return won, gap
 
 
+def _syndrome_words(code: CodeSpec, bits: np.ndarray, place: np.ndarray) -> np.ndarray:
+    """The syndrome of each row of an m x n bit array (codes.syndrome_rows),
+    packed by place into uint64 words of 52 bits."""
+    return (syndrome_rows(code, bits) @ place).astype(np.uint64)
+
+
+def _as_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per row of key words: the word, or when there are
+    several, their bytes as one byte string."""
+    return words[:, 0] if words.shape[1] == 1 else words.view(f"V{8 * words.shape[1]}")[:, 0]
+
+
+@functools.lru_cache(maxsize=8)
+def _leaders(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Every error pattern of weight <= t, sorted by syndrome: the keys
+    (_as_keys), the patterns as rows of t positions padded with n, the place
+    of each position's bit in the key words (_syndrome_words), and d, the
+    least nonzero weight of _codebook.  t = floor((d - 1)/2), lowered until
+    the table holds at most 2^k patterns, as many as the codebook has rows.
+    No two patterns share a syndrome: their XOR would be a nonzero codeword
+    of weight below d."""
+    n = code.n
+    bits, sigma = _codebook(code)
+    # sigma's codewords weigh (n - sigma·1)/2, exactly in float32; the half
+    # it leaves out, if any, holds their complements.
+    weights = (n - sigma @ np.ones(n, dtype=np.float32)) / 2
+    d = int(min(weights[1:].min(initial=n), n - weights.max() if len(sigma) < len(bits) else n))
+    t = (d - 1) // 2
+    while sum(math.comb(n, w) for w in range(t + 1)) > 1 << code.k:
+        t -= 1
+    patterns = [np.zeros((1, 0), dtype=np.intp)]
+    for _ in range(t):
+        patterns.append(_extended(patterns[-1], n))
+    flips = np.full((sum(map(len, patterns)), t), n, dtype=np.min_scalar_type(n))
+    at = 0
+    for w, p in enumerate(patterns):
+        flips[at:at + len(p), :w] = p
+        at += len(p)
+    # Redundancy position j (in order) weighs 2^(j mod 52) in key word j //
+    # 52: a sum of distinct powers of two below 2^52 is exact in float64.
+    red = np.ones(n, dtype=bool)
+    red[list(code.systematic.info_positions)] = False
+    j = np.arange(n - code.k)
+    place = np.zeros((n, max(1, -(-len(j) // 52))))
+    place[np.flatnonzero(red), j // 52] = 2.0 ** (j % 52)
+    # A pattern's syndrome is the XOR of its positions' (the padding's is 0).
+    units = _syndrome_words(code, np.eye(n + 1, n, dtype=np.uint8), place)
+    keys = _as_keys(np.bitwise_xor.reduce(units[flips.T], axis=0))
+    order = np.argsort(keys)
+    return keys[order], flips[order], place, d
+
+
+def _certified(code: CodeSpec, received: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's candidate, as a B x n bit block, and whether it is proved
+    the row's winner (see _mld_batch)."""
+    keys, flips, place, d = _leaders(code)
+    (B, n), each = received.shape, np.arange(len(received))[:, np.newaxis]
+    out = (received < 0).astype(np.uint8)
+    key = _as_keys(_syndrome_words(code, out, place))
+    at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    flip = flips[at]
+    # |r_i| and a column n of 0, where a pattern's padding points.
+    magnitude = np.zeros((B, n + 1))
+    np.abs(received, out=magnitude[:, :n])
+    cost = magnitude[each, flip].sum(axis=1)
+    magnitude[each, flip] = np.inf
+    magnitude[:, n] = np.inf
+    magnitude.sort(axis=1)
+    low = np.cumsum(magnitude[:, :d], axis=1, out=magnitude[:, :d])
+    low = low[each[:, 0], d - 1 - (flip < n).sum(axis=1)]
+    proved = (keys[at] == key) & (low - cost > 3 * bound)
+    flipped = np.zeros((B, n + 1), dtype=np.uint8)
+    flipped[each, flip] = proved[:, np.newaxis]
+    out ^= flipped[:, :n]
+    return out, proved
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflowing rows get bound +inf
 def _mld_batch(code: CodeSpec, received: np.ndarray) -> np.ndarray:
-    """MLD of each row of a B x n block, certificates first (see decode_batch)."""
+    """MLD of each row of a B x n block, the certificate first.
+
+    A row's candidate is its hard decision y (r < 0) XOR the pattern of
+    _leaders with y's syndrome, if there is one.  The candidate is the row's
+    winner when LB - cost > 3·bound: cost is sum |r_i| over the pattern's
+    positions D, LB the sum of the d - |D| least |r_i| outside D, and bound
+    _rounding_bound's, which proves this.  Every other row goes through the
+    float32 screen and its float64 fallback (_screened)."""
     bits, sigma = _codebook(code)
     bound = _rounding_bound(received)
-    out = (received < 0).astype(np.uint8)
-    rest = np.flatnonzero(~(codeword_rows(code, out) & (np.abs(received).min(axis=1) > 2 * bound)))
+    out, proved = _certified(code, received, bound)
+    rest = np.flatnonzero(~proved)
 
     def score(rows, dtype):
         if dtype == np.float32:
@@ -187,11 +284,21 @@ def _mld_batch(code: CodeSpec, received: np.ndarray) -> np.ndarray:
     return out
 
 
+def _extended(heads: np.ndarray, k: int) -> np.ndarray:
+    """The patterns one position longer than heads, lexicographic index rows
+    on k positions: each head in turn, followed by each position above its
+    last."""
+    start = heads[:, -1] + 1 if heads.shape[1] else np.zeros(len(heads), dtype=np.intp)
+    count = np.maximum(k - start, 0)
+    parent = np.repeat(np.arange(len(heads)), count)
+    last = np.arange(len(parent)) - np.repeat(np.cumsum(count) - count - start, count)
+    return np.column_stack((heads[parent], last)).astype(np.intp, copy=False)
+
+
 @functools.lru_cache(maxsize=32)
 def _pattern_indices(k: int, t: int) -> np.ndarray:
     """All weight-t flip patterns on k positions, lexicographic, as index rows."""
-    patterns = list(combinations(range(k), t))
-    return np.array(patterns, dtype=np.intp).reshape(len(patterns), t)
+    return _extended(_pattern_indices(k, t - 1), k) if t else np.zeros((1, 0), dtype=np.intp)
 
 
 # Largest reprocessing table OSD may hold, in bytes, as MLD_MAX_K caps the
@@ -507,12 +614,13 @@ def decode_batch(kind: DecoderKind, code: CodeSpec, received) -> np.ndarray:
     other candidate, codeword or flip pattern of weight 0..order, scores more
     than 2·bound above it, and is scored again in float64 otherwise, exact
     ties included.
-    MLD first takes a row's hard decision (r < 0) when that is a codeword and
-    every |r_i| exceeds 2·bound: every other codeword scores at least
-    min|r_i| more in exact arithmetic, and each float64 score errs by less
-    than bound.  So the outputs are those of float64 scoring alone.  Row b of
-    the result depends on row b of the input alone, so a block decodes
-    exactly as its rows one at a time.
+    MLD first proves what it can without scoring (_mld_batch): a row's hard
+    decision (r < 0) XOR the error pattern of weight <= (d - 1)/2 with its
+    syndrome wins when every other codeword, differing from it in at least d
+    places, must score more than 2·bound above it in exact arithmetic.  So
+    the outputs are those of float64 scoring alone.  Row b of the result
+    depends on row b of the input alone, so a block decodes exactly as its
+    rows one at a time.
     """
     received = np.asarray(received, dtype=np.float64)
     if received.ndim != 2 or received.shape[1] != code.n:

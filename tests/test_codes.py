@@ -5,8 +5,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from pwe import codes
 from pwe.codes import (
     _codeword_chunks,
+    _weights,
     catalog,
     codeword_rows,
     codewords_of_weight,
@@ -142,6 +144,32 @@ def test_gray_enumeration_matches_naive():
         assert exact_weight_distribution(code).as_dict() == weights, code.name
         d = min(w for w in weights if w)
         assert codewords_of_weight(code, d) == [v for v in want if v.bit_count() == d], code.name
+
+
+def gray_counts(code):
+    """A_w of the full Gray enumeration, as an array over w = 0..n."""
+    return sum(np.bincount(_weights(code, chunk), minlength=code.n + 1) for chunk in _codeword_chunks(code))
+
+
+@pytest.mark.parametrize("name,closed", [("qr-47-24", True), ("golay-24-12", True), ("bch-127-71-52", False)])
+def test_exact_weight_distribution_enumerates_half_a_code_with_all_ones(monkeypatch, name, closed):
+    # qr-47-24 spans chunks, golay-24-12 one table; BCH(127,71) shortened by
+    # 52 (n = 75, k = 19) lacks the all-ones word and enumerates in full.
+    code = shorten(get_code("bch-127-71"), 52) if name == "bch-127-71-52" else get_code(name)
+    want = gray_counts(code)
+    enumerated = []
+
+    def recorded(code, generators=None):
+        for chunk in _codeword_chunks(code, generators):
+            enumerated.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(codes, "_codeword_chunks", recorded)
+    assert contains(code, (1 << code.n) - 1) == closed
+    assert exact_weight_distribution(code).as_dict() == {w: int(a) for w, a in enumerate(want) if a}
+    assert sum(enumerated) == 2 ** (code.k - closed)
+    top = exact_weight_distribution(code, max_weight=code.n // 2).as_dict()
+    assert top == {w: int(a) for w, a in enumerate(want[:code.n // 2 + 1]) if a}
 
 
 def test_weight_distribution_sums_to_2k():

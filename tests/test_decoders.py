@@ -5,6 +5,7 @@ import hashlib
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -542,13 +543,15 @@ def mld_scored_rows(monkeypatch):
 
 
 def test_mld_gaussian_blocks_need_no_float64(monkeypatch):
+    # The certificate leaves few rows to the screen at 3 to 5 dB, so blocks
+    # at 0 to 2 dB bring thousands more.
     screened, exact = mld_scored_rows(monkeypatch)
     code = get_code("golay-24-12")
     rng = np.random.default_rng(45)
-    for snr in (3.0, 4.0, 5.0):
+    for snr in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0):
         for _ in range(8):
             decode_batch(DecoderKind("mld"), code, sim_like(code, rng, snr, 512))
-    assert len(screened) > 1000 and exact == []
+    assert len(screened) > 4000 and exact == []
 
 
 @pytest.mark.parametrize("name", [*MLD_CODES, SHORT_BCH])
@@ -598,21 +601,21 @@ def test_mld_screen_on_half_image_equals_full_image(name):
 
 def test_mld_hard_decision_codewords_skip_float32(monkeypatch):
     # A NaN float32 image sends every row that reaches the float32 product on
-    # to the float64 fallback; rows whose hard decision is a codeword, with no
-    # tiny entry, never get there, and the outputs stay exact.
+    # to the float64 fallback; certified rows, hard-decision codewords among
+    # them, never get there, the others reach both, and the outputs stay
+    # exact.
     code = get_code("golay-24-12")
-    block = sim_like(code, np.random.default_rng(47), 5.0, 512)
+    block = sim_like(code, np.random.default_rng(47), 3.0, 512)
     book = lexicographic_codebook(code)
     want = book[np.argmin(block @ book.T.astype(np.float64), axis=1)]
     bits, sigma = decoders._codebook(code)
+    proved = decoders._certified(code, block, decoders._rounding_bound(block))[1]
+    member = np.array([contains(code, v) for v in bits_to_ints((block < 0).astype(np.uint8))])
+    assert 100 < proved.sum() < len(block) and 100 < (proved & ~member).sum()
     monkeypatch.setattr(decoders, "_codebook", lambda code: (bits, np.full_like(sigma, np.nan)))
     screened, exact = mld_scored_rows(monkeypatch)
     assert (decode_batch(DecoderKind("mld"), code, block) == want).all()
-    hard = (block < 0).astype(np.uint8)
-    member = np.array([contains(code, v) for v in bits_to_ints(hard)])
-    assert member.sum() > 100 and not member.all()
-    assert {tuple(r) for r in block[~member]} <= set(screened) & set(exact)
-    assert not {tuple(r) for r in block[member & (np.abs(block).min(axis=1) > 1e-3)]} & set(screened)
+    assert set(map(tuple, block[~proved])) == set(screened) == set(exact)
 
 
 def test_mld_hard_decision_threshold_is_twice_the_bound(monkeypatch):
@@ -633,6 +636,100 @@ def test_mld_hard_decision_threshold_is_twice_the_bound(monkeypatch):
     got = decode_batch(DecoderKind("mld"), code, block)
     assert (got == book[np.argmin(block @ book.T.astype(np.float64), axis=1)]).all()
     assert (got == (block < 0)).all() and screened == [] and exact == []
+
+
+def exact_wins(book, block, words):
+    """Whether each word of words correlates with its row of block strictly
+    less than every other codeword of book does, in exact arithmetic: the
+    row's entries as integers in units of its finest power of two, split into
+    signed 30-bit limbs whose products with the 0/1 differences c - w sum
+    exactly in float64, then carried so that each lower limb lies in [0,
+    2^30) and the sign of a gap is that of its top nonzero limb."""
+    image, wins = book.astype(np.float64), []
+    for r, word in zip(block, words):
+        scale = max(Fraction(float(v)).denominator for v in r)
+        ints = [int(Fraction(float(v)) * scale) for v in r]
+        limbs = max(abs(v) for v in ints).bit_length() // 30 + 1
+        split = [[(abs(v) >> 30 * at & (1 << 30) - 1) * (1 if v >= 0 else -1) for v in ints]
+                 for at in range(limbs)]
+        gaps = ((image - word) @ np.array(split, dtype=np.float64).T).astype(np.int64)
+        for at in range(limbs - 1):
+            gaps[:, at + 1] += gaps[:, at] >> 30
+            gaps[:, at] &= (1 << 30) - 1
+        zero = (gaps == 0).all(axis=1)
+        above = (gaps[:, -1] > 0) | ((gaps[:, -1] == 0) & ~zero)
+        wins.append(zero.sum() == 1 and (above | zero).all())
+    return np.array(wins, dtype=bool)
+
+
+@pytest.mark.parametrize("name", [*MLD_CODES, SHORT_BCH])
+def test_mld_certificate_is_sound(name):
+    # Every candidate the certificate proves is the unique exact minimum,
+    # on the exactness blocks and on rows near 2^100 and among subnormals.
+    # SHORT_BCH, at rate 11/67, has its hard decisions within t = 1 error of
+    # a codeword on few rows but those at 8 dB.
+    code = mld_code(name)
+    book = lexicographic_codebook(code)
+    rng = np.random.default_rng([58, code.n])
+    blocks = [block for _, block in mld_blocks(code)] + [np.array(list(soundness_rows(code, rng)))]
+    certified = 0
+    for block in blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            words, proved = decoders._certified(code, block, decoders._rounding_bound(block))
+        assert exact_wins(book, block[proved], words[proved]).all()
+        certified += proved.sum()
+    assert certified > 20
+
+
+@pytest.mark.parametrize("name", [*MLD_CODES, SHORT_BCH])
+def test_mld_leader_table_invariants(name):
+    # Every pattern of weight <= t once, t <= (d - 1)/2 and the largest whose
+    # table fits in 2^k rows, distinct sorted keys, each the syndrome key of
+    # its pattern XOR any codeword, and d the code's minimum distance.
+    code = mld_code(name)
+    keys, flips, place, d = decoders._leaders(code)
+    book = lexicographic_codebook(code)
+    assert d == (book[1:].sum(axis=1).min() if name == SHORT_BCH else code.d_known)
+    t, n = flips.shape[1], code.n
+    sizes = [sum(comb(n, w) for w in range(top + 1)) for top in (t, t + 1)]
+    assert 2 * t < d and sizes[0] == len(keys) <= 2 ** code.k
+    assert 2 * (t + 1) >= d or sizes[1] > 2 ** code.k
+    weights = (flips < n).sum(axis=1)
+    patterns = {tuple(sorted(row[:w])) for row, w in zip(flips.tolist(), weights)}
+    assert len(patterns) == len(keys) and (np.sort(flips, axis=1) == flips).all()
+    assert len(set(keys.tolist())) == len(keys) and (np.sort(keys) == keys).all()
+    errors = np.zeros((len(keys), n + 1), dtype=np.uint8)
+    errors[np.arange(len(keys))[:, np.newaxis], flips] = 1
+    for word in book[np.random.default_rng(59).integers(len(book), size=4)]:
+        assert (decoders._as_keys(decoders._syndrome_words(code, errors[:, :n] ^ word, place)) == keys).all()
+
+
+def test_mld_certificate_margin_is_three_times_the_bound(monkeypatch):
+    # Codeword hard decisions whose d least |r_i| sum to 2.5·bound go to
+    # the screen, and those whose d least sum to 3.5·bound do not: the
+    # margin covers the float64 error of LB and cost besides the 2·bound
+    # gap.  The d tiny entries barely move bound, taken without them.
+    code = get_code("golay-24-12")
+    d, rng = code.d_known, np.random.default_rng(61)
+    book = lexicographic_codebook(code)
+    tx = bpsk(book[rng.integers(len(book), size=128)])
+    block = tx * (0.5 + rng.random(tx.shape))
+    each, tiny = np.arange(len(block))[:, np.newaxis], np.argsort(rng.random(tx.shape), axis=1)[:, :d]
+    block[each, tiny] = 0
+    share = np.where(each < 64, 2.5, 3.5) * decoders._rounding_bound(block)[:, np.newaxis] / d
+    block[each, tiny] = tx[each, tiny] * share
+    screened, exact = mld_scored_rows(monkeypatch)
+    got = decode_batch(DecoderKind("mld"), code, block)
+    assert (got == book[np.argmin(block @ book.T.astype(np.float64), axis=1)]).all()
+    assert set(screened) == set(map(tuple, block[:64]))
+
+
+def test_mld_certificate_covers_most_rows_at_4_db():
+    # A guard on the certificate's reach: at 4 dB it proves nine Golay rows
+    # in ten without scoring them.
+    code = get_code("golay-24-12")
+    block = sim_like(code, np.random.default_rng(60), 4.0, 4096)
+    assert decoders._certified(code, block, decoders._rounding_bound(block))[1].mean() >= 0.9
 
 
 def test_mld_scores_a_fixed_number_of_rows_at_a_time():
