@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bits_to_ints, ints_to_bits
-from .codes import CodeSpec, _codeword_chunks, syndrome_rows
+from .codes import CodeSpec, _codeword_chunks, packed_syndromes
 from .gf2 import BitWord, rref
 
 __all__ = ["DecoderKind", "parse_decoder", "decode_batch", "mld_decode", "osd_decode", "decode"]
@@ -66,7 +66,8 @@ def _codebook(code: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     complemented, else of every row."""
     if code.k > MLD_MAX_K:
         raise ValueError(f"MLD needs k <= {MLD_MAX_K}, got k = {code.k}")
-    bits = np.concatenate([np.unpackbits(chunk.view(np.uint8), axis=1, count=code.n,
+    # A chunk is a transposed view, whose rows view() cannot reinterpret.
+    bits = np.concatenate([np.unpackbits(chunk.copy().view(np.uint8), axis=1, count=code.n,
                                          bitorder="little") for chunk in _codeword_chunks(code)])
     bits = bits[np.lexsort(bits.T[::-1])]
     sigma = 1 - 2 * bits[:len(bits) // 2 if bits[-1].all() else len(bits)].astype(np.float32)
@@ -183,10 +184,10 @@ def _mld_screen(received: np.ndarray, sigma: np.ndarray, size: int) -> tuple[np.
     return won, gap
 
 
-def _syndrome_words(code: CodeSpec, bits: np.ndarray, place: np.ndarray) -> np.ndarray:
-    """The syndrome of each row of an m x n bit array (codes.syndrome_rows),
-    packed by place into uint64 words of 52 bits."""
-    return (syndrome_rows(code, bits) @ place).astype(np.uint64)
+def _syndrome_words(code: CodeSpec, bits: np.ndarray) -> np.ndarray:
+    """The packed syndrome (codes.packed_syndromes) of each row of an m x n
+    bit array, in uint64 words."""
+    return packed_syndromes(code, np.packbits(bits, axis=1, bitorder="little"))
 
 
 def _as_keys(words: np.ndarray) -> np.ndarray:
@@ -196,14 +197,13 @@ def _as_keys(words: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _leaders(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _leaders(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, int]:
     """Every error pattern of weight <= t, sorted by syndrome: the keys
-    (_as_keys), the patterns as rows of t positions padded with n, the place
-    of each position's bit in the key words (_syndrome_words), and d, the
-    least nonzero weight of _codebook.  t = floor((d - 1)/2), lowered until
-    the table holds at most 2^k patterns, as many as the codebook has rows.
-    No two patterns share a syndrome: their XOR would be a nonzero codeword
-    of weight below d."""
+    (_as_keys of _syndrome_words), the patterns as rows of t positions padded
+    with n, and d, the least nonzero weight of _codebook.  t is floor((d -
+    1)/2), lowered until the table holds at most 2^k patterns, as many as the
+    codebook has rows.  No two patterns share a syndrome: their XOR would be
+    a nonzero codeword of weight below d."""
     n = code.n
     bits, sigma = _codebook(code)
     # sigma's codewords weigh (n - sigma·1)/2, exactly in float32; the half
@@ -216,32 +216,22 @@ def _leaders(code: CodeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     patterns = [np.zeros((1, 0), dtype=np.intp)]
     for _ in range(t):
         patterns.append(_extended(patterns[-1], n))
-    flips = np.full((sum(map(len, patterns)), t), n, dtype=np.min_scalar_type(n))
-    at = 0
-    for w, p in enumerate(patterns):
-        flips[at:at + len(p), :w] = p
-        at += len(p)
-    # Redundancy position j (in order) weighs 2^(j mod 52) in key word j //
-    # 52: a sum of distinct powers of two below 2^52 is exact in float64.
-    red = np.ones(n, dtype=bool)
-    red[list(code.systematic.info_positions)] = False
-    j = np.arange(n - code.k)
-    place = np.zeros((n, max(1, -(-len(j) // 52))))
-    place[np.flatnonzero(red), j // 52] = 2.0 ** (j % 52)
+    flips = np.concatenate([np.column_stack((p, np.full((len(p), t - w), n))) for w, p in
+                            enumerate(patterns)]).astype(np.min_scalar_type(n))
     # A pattern's syndrome is the XOR of its positions' (the padding's is 0).
-    units = _syndrome_words(code, np.eye(n + 1, n, dtype=np.uint8), place)
+    units = _syndrome_words(code, np.eye(n + 1, n, dtype=np.uint8))
     keys = _as_keys(np.bitwise_xor.reduce(units[flips.T], axis=0))
     order = np.argsort(keys)
-    return keys[order], flips[order], place, d
+    return keys[order], flips[order], d
 
 
 def _certified(code: CodeSpec, received: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's candidate, as a B x n bit block, and whether it is proved
     the row's winner (see _mld_batch)."""
-    keys, flips, place, d = _leaders(code)
+    keys, flips, d = _leaders(code)
     (B, n), each = received.shape, np.arange(len(received))[:, np.newaxis]
     out = (received < 0).astype(np.uint8)
-    key = _as_keys(_syndrome_words(code, out, place))
+    key = _as_keys(_syndrome_words(code, out))
     at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
     flip = flips[at]
     # |r_i| and a column n of 0, where a pattern's padding points.

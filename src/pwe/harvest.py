@@ -130,7 +130,7 @@ def _trial_block(code: CodeSpec, config: HarvestConfig, rng: np.random.Generator
     else:
         sigma = np.array([noise_sigma(db, code.rate) for db in config.snr_grid_db])
         snr = rng.integers(len(sigma), size=size)
-        received = tx + sigma[snr, np.newaxis] * rng.normal(size=(size, code.n))
+        received = tx + sigma[snr, np.newaxis] * rng.standard_normal((size, code.n))
         if config.impulse_mode == "noisy_impulse":
             amplitude = config.impulse_amplitude or (
                 code.n / 4.0 if code.d_known is None else float(code.d_known - 1))

@@ -83,7 +83,7 @@ def simulate_point(
         batch = min(_BATCH, config.max_blocks - blocks)
         info = rng.integers(0, 2, size=(batch, k), dtype=np.uint8)
         tx = gf2_matmul(info, G)
-        recv = bpsk(tx) + sigma * rng.normal(size=(batch, n))
+        recv = bpsk(tx) + sigma * rng.standard_normal((batch, n))
         decoded = decode_batch(decoder, code, recv)
         diffs = (decoded[:, info_cols] ^ tx[:, info_cols]).sum()
         bit_errors += int(diffs)

@@ -18,6 +18,7 @@ from pwe.codes import (
     exact_weight_distribution,
     extend_with_parity,
     get_code,
+    packed_syndromes,
     qr_generator_polynomial,
     quadratic_residues,
     shorten,
@@ -118,6 +119,51 @@ def test_contains_agrees_with_in_span_on_low_weight_words():
         member = [contains(code, w) for w in words]
         assert member == [in_span(code, w) for w in words], name
         assert sum(member) >= code.k + 1, name
+
+
+def reference_syndromes(code, words):
+    """Independent oracle: each word XOR the re-encoding of its information
+    bits, an int64 product, read on the redundancy positions in order, as
+    ints."""
+    form = code.systematic
+    bits = ints_to_bits(words, code.n).astype(np.int64)
+    recoded = (bits[:, form.info_positions] @ form.generator_bits.astype(np.int64) + bits) % 2
+    return bits_to_ints(np.delete(recoded, form.info_positions, axis=1).astype(np.uint8))
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_packed_syndromes_match_the_reencoding(name):
+    # Codewords, their single-bit flips, random words, random words with
+    # every bit of the last byte set (a partial byte when 8 does not divide
+    # n), and every value of every byte alone, cut to n bits: each entry of
+    # the table once.
+    code = get_code(name)
+    n, size = code.n, -(-code.n // 8)
+    rng = np.random.default_rng([27, n])
+    codewords = [encode(code, BitWord(code.k, v)).value for v in random_ints(rng, 4, code.k)]
+    flips = [w ^ (1 << i) for w in codewords[:2] for i in range(n)]
+    randoms = random_ints(rng, 20, n)
+    last = [w | ((1 << n) - (1 << 8 * (size - 1))) for w in randoms]
+    bytes_alone = [v << 8 * j & (1 << n) - 1 for j in range(size) for v in range(256)]
+    words = codewords + flips + randoms + last + bytes_alone
+    packed = np.frombuffer(b"".join(w.to_bytes(size, "little") for w in words), np.uint8)
+    got = [int.from_bytes(row.tobytes(), "little")
+           for row in packed_syndromes(code, packed.reshape(-1, size))]
+    assert got == reference_syndromes(code, words)
+    assert got[:len(codewords)] == [0] * len(codewords)
+    assert 0 not in got[len(codewords):len(codewords) + len(flips)]
+
+
+def test_exact_weight_distribution_of_a_wide_code_is_frozen():
+    # BCH(127,71) shortened by 52 (n = 75, k = 19): two words wide, four
+    # chunks; the counts the row-major enumerator gave.
+    code = shorten(get_code("bch-127-71"), 52)
+    assert exact_weight_distribution(code).as_dict() == {
+        0: 1, 19: 8, 20: 25, 21: 20, 22: 106, 23: 99, 24: 493, 25: 682, 26: 1297, 27: 2554,
+        28: 4270, 29: 7017, 30: 10839, 31: 15977, 32: 21121, 33: 28612, 34: 35057, 35: 41264,
+        36: 46006, 37: 46852, 38: 47734, 39: 44923, 40: 40839, 41: 35079, 42: 28224, 43: 21962,
+        44: 15587, 45: 10881, 46: 7035, 47: 4451, 48: 2544, 49: 1354, 50: 749, 51: 340, 52: 175,
+        53: 62, 54: 30, 55: 6, 56: 10, 57: 1, 58: 1, 60: 1}
 
 
 def gray_reference(code):

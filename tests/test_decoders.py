@@ -687,7 +687,7 @@ def test_mld_leader_table_invariants(name):
     # table fits in 2^k rows, distinct sorted keys, each the syndrome key of
     # its pattern XOR any codeword, and d the code's minimum distance.
     code = mld_code(name)
-    keys, flips, place, d = decoders._leaders(code)
+    keys, flips, d = decoders._leaders(code)
     book = lexicographic_codebook(code)
     assert d == (book[1:].sum(axis=1).min() if name == SHORT_BCH else code.d_known)
     t, n = flips.shape[1], code.n
@@ -701,7 +701,7 @@ def test_mld_leader_table_invariants(name):
     errors = np.zeros((len(keys), n + 1), dtype=np.uint8)
     errors[np.arange(len(keys))[:, np.newaxis], flips] = 1
     for word in book[np.random.default_rng(59).integers(len(book), size=4)]:
-        assert (decoders._as_keys(decoders._syndrome_words(code, errors[:, :n] ^ word, place)) == keys).all()
+        assert (decoders._as_keys(decoders._syndrome_words(code, errors[:, :n] ^ word)) == keys).all()
 
 
 def test_mld_certificate_margin_is_three_times_the_bound(monkeypatch):
