@@ -299,10 +299,10 @@ OSD_MAX_TABLE_BYTES = 1 << 28
 _BAND_SCORES = 4096
 
 
-# Blocks smaller than this are eliminated row by row with gf2.rref.  The
-# block elimination's per-column numpy calls cost about the same for one row
-# as for a hundred; it overtakes rref at about 6 rows on BCH(127,50) and
-# BCH(130,66) and at about 16 on Golay(24,12).
+# Blocks smaller than this are eliminated row by row with gf2.rref, and
+# build no column-word table.  The block elimination's per-column numpy
+# calls cost about the same for one row as for a hundred; on column words it
+# overtakes rref at about 4 rows on BCH(127,50) and 4 to 8 on BCH(130,66).
 BLOCK_ELIMINATION_MIN = 16
 # Float scratch per reprocessing chunk of rows, about one core's L2 cache;
 # a chunk may hold up to 1.5 times as much (see _chunk_step).  On a 2-vCPU
@@ -321,55 +321,92 @@ def _chunk_step(k: int, n: int, order: int) -> int:
     return max(1, _CHUNK_BYTES // (4 * (scratch + k * (n - k))))
 
 
-def _eliminate_rows(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(R bits, pivot columns) of each B x k x n matrix, one gf2.rref each."""
+def _pack_columns(bits: np.ndarray) -> np.ndarray:
+    """The columns of a ... x k x m bit array as k-bit column words, ... x m
+    x W uint64 with W = ceil(k/64): bit i of a column's words is its row i."""
+    *lead, k, m = bits.shape
+    padded = np.zeros((*lead, m, -(-k // 64) * 64), dtype=np.uint8)
+    padded[..., :k] = np.swapaxes(bits, -1, -2)
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u8")
+
+
+@functools.lru_cache(maxsize=8)
+def _column_words(code: CodeSpec) -> np.ndarray:
+    """The column words (_pack_columns) of the systematic generator, W x n."""
+    words = np.ascontiguousarray(_pack_columns(code.systematic.generator_bits).T)
+    words.flags.writeable = False
+    return words
+
+
+def _encode(words: np.ndarray, info: np.ndarray, pivot_rows: np.ndarray) -> np.ndarray:
+    """The codeword bits, B x m, of the B x k info bits on the columns of R
+    given as W x B x m column words: each word's parity AND the info word,
+    whose bit pivot_rows[b, j] is info[b, j]."""
+    W, B = words.shape[:2]
+    spread = np.zeros((B, 64 * W), dtype=np.uint8)
+    spread[np.arange(B)[:, np.newaxis], pivot_rows] = info
+    x = np.packbits(spread, axis=1, bitorder="little").view("<u8").T[:, :, np.newaxis]
+    counts = np.bitwise_count(functools.reduce(np.bitwise_xor, words & x))
+    counts &= 1
+    return counts
+
+
+def _byte_planes(words: np.ndarray) -> np.ndarray:
+    """W x B x m column words as B x 8W x m bytes: plane j holds byte j % 8
+    of word j // 8, the bits of rows 8j to 8j + 7."""
+    W, B, m = words.shape
+    planes = np.ascontiguousarray(words.transpose(1, 0, 2)).view(np.uint8).reshape(B, W, m, 8)
+    return planes.transpose(0, 1, 3, 2).reshape(B, 8 * W, m)
+
+
+def _eliminate_rows(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_eliminate_block of the B x k x n bit matrices ranked, one gf2.rref
+    each; R's rows are in pivot order."""
     B, k, n = ranked.shape
     R_bits = np.empty_like(ranked)
     pivots = np.empty((B, k), dtype=np.intp)
     for b in range(B):
         R, pivots[b] = rref(bits_to_ints(ranked[b]), n)
         R_bits[b] = ints_to_bits(R, n)
-    return R_bits, pivots
+    return _pack_columns(R_bits).transpose(2, 0, 1), pivots, np.broadcast_to(np.arange(k), (B, k))
 
 
-def _eliminate_block(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_eliminate_rows on the whole block at once, on 64-bit words.
+def _eliminate_block(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gaussian elimination of B matrices of k rows at once, on their column
+    words (_pack_columns), W x B x n.  Returns the reduced column words,
+    each matrix's pivot columns, and the rows that hold them.
 
-    Column by column, each matrix takes as pivot its first row that is not
-    a pivot yet and has the column's bit, and clears the column from every
-    other row.  The pivot columns are those of gf2.rref, and sorting the
-    pivot rows by their columns gives its R, since the reduced row-echelon
-    form of a matrix is unique.  A pivot row is zero left of its column,
-    so only the words from the column's word on change.  Every matrix must
-    have full row rank, as a generator matrix does.
+    Column by column, each matrix takes as pivot row the lowest row that is
+    not a pivot yet and has the column's bit: the lowest free set bit, low,
+    of the column word v.  Adding that row to the other rows with the bit
+    XORs S = v ^ low into every column word with bit low, and v becomes low.
+    Earlier columns have bits in pivot rows only, so only this column and
+    later ones change.  The reduced row-echelon form of a matrix is unique,
+    so whatever the pivot rows, R's row j is the row of the j-th pivot
+    column.  Every matrix must have full row rank, as a generator does.
     """
-    B, k, n = ranked.shape
-    packed = np.packbits(ranked, axis=2, bitorder="little")
-    padded = np.zeros((B, k, -(-n // 64) * 8), dtype=np.uint8)
-    padded[:, :, :packed.shape[2]] = packed
-    M = np.ascontiguousarray(padded.view("<u8").transpose(2, 1, 0))  # words x rows x B
-    rows = np.arange(B)
-    free = np.ones((k, B), dtype=bool)
-    pivot_rows = np.empty((k, B), dtype=np.intp)
-    pivots = np.empty((B, k), dtype=np.intp)
-    rank = np.zeros(B, dtype=np.intp)
+    W, B, n = words.shape
+    free = np.full((W, B), ~np.uint64(0))
+    free[-1] >>= np.uint64(-k % 64)
+    lows = np.zeros((n, W, B), dtype=np.uint64)
     for col in range(n):
-        word, shift = divmod(col, 64)
-        hit = (M[word] >> np.uint64(shift)) & np.uint64(1)
-        found = (hit.astype(bool) & free).argmax(axis=0)
-        has = (hit[found, rows] != 0) & free[found, rows]
-        hit[:, ~has] = 0
-        hit[found, rows] = 0
-        M[word:] ^= np.ascontiguousarray(M[word:, found, rows])[:, np.newaxis, :] & (0 - hit)
-        now, at = found[has], rows[has]
-        free[now, at] = False
-        pivot_rows[rank[has], at] = now
-        pivots[at, rank[has]] = col
-        rank += has
-        if rank.min() == k:
+        v, low = words[:, :, col], lows[col]
+        candidates = v & free
+        np.negative(candidates, out=low)
+        low &= candidates
+        if W > 1:
+            # The lowest set bit is in the first word that has one.
+            low[1:] *= np.logical_and.accumulate(low[:-1] == 0, axis=0)
+        free ^= low
+        later = words[:, :, col:]
+        later ^= (later & low[:, :, np.newaxis]).any(axis=0) * (v ^ low)[:, :, np.newaxis]
+        if col >= k - 1 and not free.any():
             break
-    R = M[:, pivot_rows, rows].transpose(2, 1, 0).copy().view(np.uint8)
-    return np.unpackbits(R, axis=2, count=n, bitorder="little"), pivots
+    lows = lows[:col + 1]
+    is_pivot = lows.any(axis=1).T
+    # A pivot's low is one bit, in the word argmax finds.
+    rows = 64 * lows.argmax(axis=1) + np.bitwise_count(lows.max(axis=1) - np.uint64(1))
+    return words, np.nonzero(is_pivot)[1].reshape(B, k), rows.T[is_pivot].reshape(B, k)
 
 
 @functools.lru_cache(maxsize=64)
@@ -493,15 +530,25 @@ def _best_patterns(sigma: np.ndarray, red_weight: np.ndarray, flip_gain: np.ndar
 
 def _reprocess(parts: tuple, rows, order: int, dtype) -> tuple[np.ndarray, np.ndarray]:
     """_best_patterns of the given rows of a block, scored in dtype; parts are
-    the block's redundancy columns of R, r on them, the base codeword on them,
-    and r on the MRB."""
-    red_cols, r_red, base_red, r_mrb = (part[rows] for part in parts)
-    sigma = red_cols.transpose(0, 2, 1).astype(dtype, order="C")
-    sigma *= -2
-    sigma += 1
+    the block's byte planes of R's redundancy columns (_byte_planes), the
+    rows that hold R's rows, r on the redundancy positions, the base
+    codeword there, and r on the MRB."""
+    planes, pivot_rows, r_red, base_red, r_mrb = parts
+    pivot_rows = pivot_rows[rows]
+    # Bit p of a column word, its entry in the R row that row p holds, is
+    # bit p % 8 of byte plane p // 8; take copies whole plane rows, several
+    # times faster than indexing them.
+    B, depth, m = planes.shape
+    bits = planes.reshape(B * depth, m).take(depth * rows[:, np.newaxis] + (pivot_rows >> 3), axis=0)
+    bits >>= (pivot_rows & 7).astype(np.uint8)[:, :, np.newaxis]
+    bits &= 1
+    signs = bits.view(np.int8)
+    signs *= -2
+    signs += 1
+    sigma = signs.astype(dtype)
     # -s/2: pattern x scores its flip gains plus red_weight·prod_{j in x} sigma_j.
-    red_weight = r_red.astype(dtype) * np.array([-0.5, 0.5], dtype)[base_red]
-    return _best_patterns(sigma, red_weight, np.abs(r_mrb).astype(dtype), order)
+    red_weight = r_red[rows].astype(dtype) * np.array([-0.5, 0.5], dtype)[base_red[rows]]
+    return _best_patterns(sigma, red_weight, np.abs(r_mrb[rows]).astype(dtype), order)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflowing rows get bound +inf
@@ -560,23 +607,22 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
     # Any generator of the code reduces to the same matrix over the MRB, so
     # start from the systematic one, its columns in reliability order.
     # Eliminate in that order; the pivot columns form the MRB.
-    eliminate = _eliminate_block if B >= BLOCK_ELIMINATION_MIN else _eliminate_rows
-    R_bits, mrb = eliminate(
-        np.take(code.systematic.generator_bits, rank_order, axis=1).transpose(1, 0, 2))
-    is_red = np.ones((B, n), dtype=bool)
-    is_red[each, mrb] = False
-    red = np.nonzero(is_red)[1].reshape(B, n - k)
-    # The codeword of info bits x is x on the MRB, where R is the identity,
-    # and red_cols·x on the redundancy positions; R itself is not needed
-    # again.
-    red_cols = R_bits.transpose(0, 2, 1)[each, red]
-    del R_bits
-
+    if B >= BLOCK_ELIMINATION_MIN:
+        words, mrb, pivot_rows = _eliminate_block(_column_words(code)[:, rank_order], k)
+    else:
+        words, mrb, pivot_rows = _eliminate_rows(
+            np.take(code.systematic.generator_bits, rank_order, axis=1).transpose(1, 0, 2))
     r_mrb = r_ranked[each, mrb]
     info = (r_mrb < 0).astype(np.uint8)
     if order:
-        base_red = (red_cols @ info[:, :, np.newaxis])[:, :, 0] & 1
-        parts = red_cols, r_ranked[each, red], base_red, r_mrb
+        is_red = np.ones((B, n), dtype=bool)
+        is_red[each, mrb] = False
+        red = np.nonzero(is_red)[1].reshape(B, n - k)
+        red_words = words[:, each, red]
+        # The base codeword on the redundancy positions; on the MRB, where R
+        # is the identity, it is info.
+        base_red = _encode(red_words, info, pivot_rows)
+        parts = _byte_planes(red_words), pivot_rows, r_ranked[each, red], base_red, r_mrb
         bound = _rounding_bound(received)
 
         def score(rows, dtype):
@@ -585,8 +631,7 @@ def _osd_batch(code: CodeSpec, received: np.ndarray, order: int) -> np.ndarray:
         for chunk in np.array_split(rows, max(1, round(B / _chunk_step(k, n, order)))):
             info[chunk] ^= _screened(score, chunk, bound)
     out = np.empty((B, n), dtype=np.uint8)
-    out[each, rank_order[each, mrb]] = info
-    out[each, rank_order[each, red]] = (red_cols @ info[:, :, np.newaxis])[:, :, 0] & 1
+    out[each, rank_order] = _encode(words, info, pivot_rows)
     return out
 
 

@@ -77,33 +77,45 @@ def _check_words(path, code: CodeSpec, w: int, values: list[int]):
         raise ValueError(f"{path}: word {values[i]:x} {problem}")
 
 
-def _hex_words(path, fh) -> list[int]:
-    """The words of an open list file, past its header line, as ints; the
-    ValueError otherwise names the file and the first line that is not hex."""
-    try:
-        return [int(line, 16) for line in fh if not line.isspace()]
-    except ValueError:
-        fh.seek(0)
-        fh.readline()
-        for number, line in enumerate(map(str.strip, fh), 2):
-            try:
-                int(line or "0", 16)
-            except ValueError:
-                raise ValueError(f"{path}: line {number}: {line!r} is not a hex word") from None
-        raise
+_HEX_DIGITS = b"0123456789abcdef"
+
+
+def _hex_words(path, body: bytes, n: int) -> list[int]:
+    """The words of a list file's body, the lines past its header, as ints.
+    Each non-blank line must be ceil(n/4) lowercase hex digits; the
+    ValueError otherwise names the file and the first line that is not."""
+    digits = (n + 3) // 4
+    rows, rest = divmod(len(body), digits + 1)
+    ends = b"\n" * rows
+    # A body of one word a line and no blank line passes at C speed: all but
+    # its hex digits are the line ends, and those sit every digits + 1 bytes.
+    if rest or body.translate(None, _HEX_DIGITS) != ends or body[digits::digits + 1] != ends:
+        for number, line in enumerate(body.split(b"\n"), 2):
+            if line.strip() and (len(line) != digits or line.translate(None, _HEX_DIGITS)):
+                sign = line.removeprefix(b"-")
+                if sign and not sign.translate(None, _HEX_DIGITS) and int(line, 16) >> n:
+                    raise ValueError(f"{path}: word {int(line, 16):x} does not fit in n = {n} bits "
+                                     f"(line {number})")
+                raise ValueError(f"{path}: line {number}: {line.decode(errors='backslashreplace')!r} "
+                                 f"is not a hex word of {digits} lowercase digits")
+    return [int(line, 16) for line in body.split()]
 
 
 def read_weight_class(path, code: CodeSpec) -> WeightClassList:
     """Read one list file; every word is checked for range, weight and membership."""
     path = Path(path)
-    with path.open() as fh:
-        fields = _read_header(path, fh.readline(), ("code", "n", "w", "count"))
-        if fields["code"] != code.name:
-            raise ValueError(f"{path}: list of code {fields['code']!r}, not {code.name!r}")
-        n, w, count = (_integer(path, key, fields[key]) for key in ("n", "w", "count"))
-        if n != code.n:
-            raise ValueError(f"{path}: length {n} does not match code n = {code.n}")
-        values = _hex_words(path, fh)
+    head, _, body = path.read_bytes().partition(b"\n")
+    try:
+        header = head.decode()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: line 1: header is not UTF-8 text") from None
+    fields = _read_header(path, header, ("code", "n", "w", "count"))
+    if fields["code"] != code.name:
+        raise ValueError(f"{path}: list of code {fields['code']!r}, not {code.name!r}")
+    n, w, count = (_integer(path, key, fields[key]) for key in ("n", "w", "count"))
+    if n != code.n:
+        raise ValueError(f"{path}: length {n} does not match code n = {code.n}")
+    values = _hex_words(path, body, n)
     _check_words(path, code, w, values)
     members = set(values)
     if len(members) != count:

@@ -37,7 +37,8 @@ __all__ = [
 # one decode per trial, which makes it the cheapest source of decoder errors
 # concentrated on the low weight classes.
 IMPULSE_MODES = ("gaussian_noise", "single_impulse_sweep", "noisy_impulse")
-# Trials decoded per decode_batch call, as many as a simulation batch.
+# Trials decoded per decode_batch call, as many as the simulator draws at a
+# time.
 _BLOCK = 512
 
 

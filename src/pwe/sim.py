@@ -20,7 +20,10 @@ from .decoders import DecoderKind, decode_batch, osd_decode  # noqa: F401
 
 __all__ = ["SimConfig", "SimPoint", "noise_sigma", "simulate_point", "simulate_curve"]
 
-_BATCH = 512
+# Blocks are drawn _BATCH at a time.  Below min_blocks no batch can end a
+# point, so the batches drawn there decode together, up to _SPAN blocks a
+# call; the random streams are those of one batch at a time.
+_BATCH, _SPAN = 512, 4096
 
 
 @dataclass(frozen=True)
@@ -80,14 +83,17 @@ def simulate_point(
         if blocks >= config.min_blocks and bit_errors >= config.min_bit_errors:
             return SimPoint(ebn0_db, blocks, bit_errors, k)
 
-        batch = min(_BATCH, config.max_blocks - blocks)
-        info = rng.integers(0, 2, size=(batch, k), dtype=np.uint8)
-        tx = gf2_matmul(info, G)
-        recv = bpsk(tx) + sigma * rng.standard_normal((batch, n))
+        infos, noises, drawn = [], [], blocks
+        while not infos or (drawn < config.min_blocks and drawn - blocks < _SPAN):
+            batch = min(_BATCH, config.max_blocks - drawn)
+            infos.append(rng.integers(0, 2, size=(batch, k), dtype=np.uint8))
+            noises.append(rng.standard_normal((batch, n)))
+            drawn += batch
+        tx = gf2_matmul(np.concatenate(infos), G)
+        recv = bpsk(tx) + sigma * np.concatenate(noises)
         decoded = decode_batch(decoder, code, recv)
-        diffs = (decoded[:, info_cols] ^ tx[:, info_cols]).sum()
-        bit_errors += int(diffs)
-        blocks += batch
+        bit_errors += int((decoded[:, info_cols] ^ tx[:, info_cols]).sum())
+        blocks = drawn
 
 
 def simulate_curve(

@@ -18,6 +18,7 @@ from pwe.decoders import (
     DecoderKind,
     _bands,
     _eliminate_block,
+    _eliminate_rows,
     _pattern_indices,
     decode,
     decode_batch,
@@ -870,7 +871,10 @@ def test_osd_kernel_gaps_are_sound(name):
         exact, scale = exact_correlations(base ^ (flips @ R & 1), r_perm)
         least, at = min(exact), int(np.argmin(exact))
         gap = Fraction(min(np.delete(exact, at)) - least, scale)
-        parts = (R[:, red].T[np.newaxis], r_perm[red][np.newaxis], base[red][np.newaxis], r_perm[mrb][np.newaxis])
+        # R's redundancy columns as byte planes, its rows held in order.
+        planes = decoders._byte_planes(decoders._pack_columns(R[:, red]).T[:, np.newaxis])
+        parts = (planes, np.arange(code.k)[np.newaxis], r_perm[red][np.newaxis], base[red][np.newaxis],
+                 r_perm[mrb][np.newaxis])
         for dtype in (np.float32, np.float64):
             won, kernel_gap = decoders._reprocess(parts, np.arange(1), 3, dtype)
             winner = patterns.index(tuple(np.flatnonzero(won[0])))
@@ -1028,16 +1032,52 @@ def test_osd3_blocks_equal_one_row_decodes_across_chunk_boundaries(monkeypatch, 
     assert chunks == [50, 50]
 
 
-@pytest.mark.parametrize("name", ["bch-127-50", "bch-130-66", "golay-24-12"])
-def test_block_elimination_equals_gf2_rref(name):
-    code = get_code(name)
-    rng = np.random.default_rng([42, code.n])
-    received = np.array([*harvest_like(code, rng, 40), *tie_heavy(code, rng, 8)])
+def reduced_bits(words, pivot_rows):
+    """R of each matrix from its reduced column words, W x B x n, its rows
+    in pivot order: bit pivot_rows[b, j] of each column word."""
+    W, B, n = words.shape
+    bits = np.unpackbits(np.ascontiguousarray(words.transpose(1, 2, 0)).view(np.uint8), axis=2,
+                         bitorder="little")
+    return bits[np.arange(B)[:, np.newaxis], :, pivot_rows]
+
+
+def assert_block_elimination_equals_rref(code, received):
     rank_order = np.argsort(-np.abs(received), axis=1, kind="stable")
     ranked = np.take(code.systematic.generator_bits, rank_order, axis=1).transpose(1, 0, 2)
-    R_bits, pivots = _eliminate_block(ranked)
+    words, pivots, pivot_rows = _eliminate_block(decoders._column_words(code)[:, rank_order], code.k)
+    R_bits = reduced_bits(words, pivot_rows)
     for b in range(len(received)):
         R, want = rref(bits_to_ints(ranked[b]), code.n)
         assert len(want) == code.k
         assert pivots[b].tolist() == want
         assert (R_bits[b] == ints_to_bits(R, code.n)).all()
+    # The row path gives the same words for R's rows, held in pivot order.
+    words, pivots, pivot_rows = _eliminate_rows(ranked)
+    assert (reduced_bits(words, pivot_rows) == R_bits).all() and (pivot_rows == np.arange(code.k)).all()
+
+
+@pytest.mark.parametrize("name", ["bch-127-50", "bch-130-66", "golay-24-12"])
+def test_block_elimination_equals_gf2_rref(name):
+    code = get_code(name)
+    rng = np.random.default_rng([42, code.n])
+    assert_block_elimination_equals_rref(code, np.array([*harvest_like(code, rng, 40), *tie_heavy(code, rng, 8)]))
+
+
+@pytest.mark.parametrize("name,k", [("hamming-7-4", 4), ("bch-127-50", 50), ("bch-255-191", 63),
+                                    ("bch-255-191", 64), ("bch-255-191", 65), ("bch-130-66", 66),
+                                    ("bch-255-191", 191)])
+@pytest.mark.parametrize("B", [1, 15, 16, 17, 64, 512])
+def test_packed_elimination_equals_gf2_rref_around_word_boundaries(name, k, B):
+    # Shortenings put k on either side of a 64-bit word boundary.  Every
+    # other row ranks first the support of a dual codeword of weight <= k,
+    # so its first k ranked columns are dependent.
+    code = get_code(name)
+    code = shorten(code, code.k - k) if k < code.k else code
+    form = code.systematic
+    parity = next(j for j in range(code.n) if j not in form.info_positions)
+    dual = np.zeros(code.n)
+    dual[[form.info_positions[i] for i in np.flatnonzero(form.generator_bits[:, parity])] + [parity]] = 1
+    assert dual.sum() <= code.k
+    received = np.random.default_rng([58, code.n, B]).normal(size=(B, code.n))
+    received[::2] += 50.0 * dual
+    assert_block_elimination_equals_rref(code, received)

@@ -1,6 +1,7 @@
 """On-disk formats round-trip through their readers."""
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -331,3 +332,30 @@ def test_weight_distribution_faults_name_the_file_and_the_row(tmp_path, row):
     path.write_text(f"w,count\n0,1\n{row}\n")
     with pytest.raises(ValueError, match=f"we.csv: line 3: '{row}' is not a row w,count"):
         fileio.read_weight_distribution(path)
+
+
+@pytest.mark.parametrize("bad", ["0x800ae3", "0_0_1_f_2_5", "800AE3", "800ae", "0800ae3", "+800ae3"])
+def test_weight_class_rejects_malformed_hex_lines(tmp_path, bad):
+    # int(line, 16) takes 0x, _, + and uppercase digits; a list line is
+    # exactly ceil(n/4) lowercase hex digits.
+    code, lst = golay_list()
+    words = [to_hex(code, v) for v in sorted(lst.values())]
+    path = tmp_path / "x.txt"
+    write_raw_list(path, code, 8, words[:2] + [bad] + words[2:])
+    with pytest.raises(ValueError, match=f"x.txt: line 4: '{re.escape(bad)}' is not a hex word of 6"):
+        fileio.read_weight_class(path, code)
+
+
+def test_weight_class_names_the_line_of_non_utf8_bytes(tmp_path):
+    code, lst = golay_list()
+    words = [to_hex(code, v) for v in sorted(lst.values())]
+    path = tmp_path / "x.txt"
+    write_raw_list(path, code, 8, words[:3])
+    path.write_bytes(path.read_bytes() + b"\xff\xfe12\n")
+    with pytest.raises(ValueError, match=r"x.txt: line 5: .*xff.*is not a hex word") as fault:
+        fileio.read_weight_class(path, code)
+    assert type(fault.value) is ValueError
+    path.write_bytes(b"# code=golay-24-12 \xff\n")
+    with pytest.raises(ValueError, match="x.txt: line 1") as fault:
+        fileio.read_weight_class(path, code)
+    assert type(fault.value) is ValueError

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from pwe.bitops import bpsk, gf2_matmul
 from pwe.bounds import RateContext, union_bound_bit
 from pwe.codes import exact_weight_distribution, get_code
-from pwe.decoders import DecoderKind
+from pwe.decoders import DecoderKind, decode_batch, parse_decoder
 from pwe.sim import SimConfig, SimPoint, noise_sigma, simulate_curve, simulate_point
 
 
@@ -92,3 +93,52 @@ def test_config_validation():
 def test_ber_property():
     pt = SimPoint(3.0, blocks=1000, bit_errors=24, k=12)
     assert pt.ber == pytest.approx(0.002)
+
+
+def batch_by_batch(code, decoder, ebn0_db, config, rng):
+    """The reference loop: check the stopping rule, then draw, decode and
+    count one 512-block batch."""
+    sigma = noise_sigma(ebn0_db, code.rate)
+    G, info_cols = code.systematic.generator_bits, list(code.systematic.info_positions)
+    blocks = bit_errors = 0
+    while True:
+        if blocks >= config.max_blocks:
+            return SimPoint(ebn0_db, blocks, bit_errors, code.k, low_confidence=True)
+        if blocks >= config.min_blocks and bit_errors >= config.min_bit_errors:
+            return SimPoint(ebn0_db, blocks, bit_errors, code.k)
+        batch = min(512, config.max_blocks - blocks)
+        info = rng.integers(0, 2, size=(batch, code.k), dtype=np.uint8)
+        tx = gf2_matmul(info, G)
+        recv = bpsk(tx) + sigma * rng.standard_normal((batch, code.n))
+        decoded = decode_batch(decoder, code, recv)
+        bit_errors += int((decoded[:, info_cols] ^ tx[:, info_cols]).sum())
+        blocks += batch
+
+
+# (code, decoder, Eb/N0, min_bit_errors, min_blocks, max_blocks): min_blocks
+# not a multiple of 512, above one 4096-block span, max_blocks ending inside
+# a span or past it, and min_bit_errors reached only after min_blocks.
+SPAN_CASES = (
+    ("golay-24-12", "mld", 3.0, 1, 1000, 4000),
+    ("golay-24-12", "mld", 3.0, 1, 9000, 36000),
+    ("golay-24-12", "mld", 4.0, 10 ** 6, 3000, 3000),
+    ("golay-24-12", "mld", 4.0, 10 ** 6, 3000, 3300),
+    ("golay-24-12", "mld", 3.0, 40, 600, 100000),
+    ("bch-127-50", "osd:1", 3.0, 1, 1000, 2000),
+    ("bch-127-50", "osd:1", 4.0, 10 ** 6, 700, 900),
+)
+
+
+@pytest.mark.parametrize("name,decoder,ebn0_db,errors,low,high", SPAN_CASES)
+def test_span_decoding_equals_batch_by_batch(name, decoder, ebn0_db, errors, low, high):
+    code, kind = get_code(name), parse_decoder(decoder)
+    config = SimConfig(min_bit_errors=errors, min_blocks=low, max_blocks=high)
+    rng, reference_rng = np.random.default_rng(61), np.random.default_rng(61)
+    point = simulate_point(code, kind, ebn0_db, config, rng)
+    assert point == batch_by_batch(code, kind, ebn0_db, config, reference_rng)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    if errors > 10 ** 5:
+        assert point.blocks == high and point.low_confidence
+    elif errors == 40:
+        # Batches ran one at a time past the span that reached min_blocks.
+        assert point.blocks > -(-low // 512) * 512
